@@ -6,9 +6,18 @@ rho on the line.  The transform of interest throughout the package is
     H_{rho,lam}(z) = int e^{izt} e^{lam t^2} d rho(t),
 
 entire in z exactly when e^{lam t^2} is rho-integrable with room to spare,
-which is what the TailSet records.  eval_H dispatches per kind: finite atom
-sets and several named densities have exact closed forms; everything else
-goes through the adaptive quadrature in numerics.
+which is what the TailSet records.
+
+Everything that depends on the kind of a measure sits in one table, _KINDS,
+with one _Kind entry per kind: SymmetricAtoms, GaussianConvolution and each
+named density.  An entry holds the parameter names and shapes that
+named_density accepts, the constraint on their values, the tail set, the
+log-envelope g with g' and t_min (f(t) <= exp(-g(t)) for t >= t_min), an
+optional closed form for H, H' and -H'', and whether H is real on the real
+axis.  A density is f = exp(-g) unless its entry gives f itself, as Phi and
+the Gaussian convolution do.  Kinds with a closed form are evaluated from
+it; the others go through the adaptive quadrature in numerics.  A
+MultipliedMeasure is not a kind: it wraps a base measure and shifts lambda.
 
 Atom convention: an entry (t, w) with t > 0 is the symmetric pair carrying
 total weight w, split w/2 at each of +-t; an entry (0, w) is a plain atom at
@@ -18,7 +27,7 @@ the origin.  Evenness is therefore structural, not checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -46,32 +55,6 @@ __all__ = [
     "transform_function",
     "partial_gaussian_mass",
 ]
-
-ATOMIC_KINDS = ("SymmetricAtoms",)
-DENSITY_KINDS = (
-    "RiemannPhi",
-    "Gaussian",
-    "ExpPower",
-    "CoshExp",
-    "DBNClass",
-    "PolyaQuartic",
-    "AbsExpGaussian",
-    "PolyDecayGaussian",
-    "Case6",
-    "Case8",
-    "SexticField",
-)
-#: density kinds whose transform is evaluated by quadrature (no closed form)
-QUADRATURE_KINDS = (
-    "RiemannPhi",
-    "ExpPower",
-    "CoshExp",
-    "DBNClass",
-    "PolyaQuartic",
-    "AbsExpGaussian",
-    "PolyDecayGaussian",
-    "SexticField",
-)
 
 
 @dataclass(frozen=True)
@@ -123,28 +106,16 @@ class EvenMeasure:
 
     # -- construction-time checks ------------------------------------------
     def __post_init__(self):
-        if self.kind == "SymmetricAtoms":
-            if not self.atoms:
-                raise ValueError("SymmetricAtoms needs at least one atom")
-            zero_count = sum(1 for t, _ in self.atoms if t == 0)
-            if zero_count > 1:
-                raise ValueError("at most one atom at the origin")
-            for t, w in self.atoms:
-                if t < 0 or not (w > 0):
-                    raise ValueError("atoms need position >= 0 and weight > 0")
-        elif self.kind == "NamedDensity":
-            if self.density_kind not in DENSITY_KINDS:
-                raise ValueError("unknown density kind %r" % (self.density_kind,))
-        elif self.kind == "GaussianConvolution":
-            if self.base is None or self.base.kind != "SymmetricAtoms":
-                raise ValueError("GaussianConvolution requires an atomic base")
-            if not (self.b0 > 0):
-                raise ValueError("GaussianConvolution requires b0 > 0")
-        elif self.kind == "MultipliedMeasure":
+        if self.kind == "MultipliedMeasure":
             if self.base is None:
                 raise ValueError("MultipliedMeasure requires a base measure")
-        else:
-            raise ValueError("unknown measure kind %r" % (self.kind,))
+            return
+        name = self.density_kind or self.kind
+        spec = _KINDS.get(name)
+        if spec is None or spec.named != (self.kind == "NamedDensity"):
+            raise ValueError("unknown measure kind %r" % (name,))
+        if not spec.valid(_params(self)):
+            raise ValueError("%s requires %s" % (name, spec.requires))
 
     # -- parameter access ---------------------------------------------------
     def param(self, name):
@@ -153,26 +124,29 @@ class EvenMeasure:
                 return v
         raise KeyError(name)
 
-    def cache_key(self):
-        return (self.kind, self.density_kind, self.params, self.atoms, self.b0)
-
     # -- density evaluation (quadrature kinds and convolution) --------------
     def density_value(self, t, dps: int, tol_digits: int):
         """f(t) at t >= 0 for kinds that carry a density."""
-        if self.kind == "NamedDensity":
-            return _density_value_cached(
-                self.density_kind, self.params, t, dps, tol_digits
-            )
-        if self.kind == "GaussianConvolution":
-            return _conv_density_cached(self.atoms_key(), self.b0, t, dps)
-        raise DbnlabError("%s has no pointwise density" % self.kind)
-
-    def atoms_key(self):
-        return self.base.atoms if self.base is not None else self.atoms
+        return _density_value_cached(self, t, dps, tol_digits)
 
     # -- decay envelope for tail truncation ---------------------------------
     def decay_descriptor(self) -> DecayDescriptor:
-        return _decay_descriptor(self)
+        spec, p = _kind_of(self), _params(self)
+        if spec.g is None:
+            raise DbnlabError("no decay descriptor for %r" % (self.density_kind or self.kind))
+        return DecayDescriptor(partial(spec.g, p), partial(spec.g_deriv, p), spec.t_min(p))
+
+
+def _kind_of(measure: EvenMeasure) -> "_Kind":
+    """The table entry of a measure that is not a MultipliedMeasure."""
+    return _KINDS[measure.density_kind or measure.kind]
+
+
+def _params(measure: EvenMeasure) -> dict:
+    """The parameters a table entry reads: the named ones, or atoms and b0."""
+    if measure.density_kind is None:
+        return {"atoms": measure.atoms, "b0": measure.b0}
+    return dict(measure.params)
 
 
 # ---------------------------------------------------------------------------
@@ -193,49 +167,50 @@ def symmetric_atoms(pairs, ctx: PrecisionContext = None) -> EvenMeasure:
 
 
 def named_density(density_kind: str, ctx: PrecisionContext = None, **params) -> EvenMeasure:
+    """The named density kind with exactly its parameters (README lists them).
+
+    Raises ValueError for an unknown kind, a missing or unknown parameter,
+    a parameter of the wrong shape (number, integer or list of numbers), and
+    values that break the kind's constraint.
+    """
+    spec = _KINDS.get(density_kind)
+    if spec is None or not spec.named:
+        raise ValueError("unknown density kind %r" % (density_kind,))
+    shapes = dict(spec.params)
+    for name in params:
+        if name not in shapes:
+            raise ValueError(
+                "%s: unknown parameter params.%s (takes: %s)"
+                % (density_kind, name, ", ".join(shapes) or "none")
+            )
     ctx = ctx or PrecisionContext()
     with ctx.workdps():
         frozen = []
-        for k in sorted(params):
-            v = params[k]
-            if isinstance(v, (list, tuple)):
-                frozen.append((k, tuple(mpf(x) for x in v)))
-            elif isinstance(v, int) and k in ("q", "m"):
-                frozen.append((k, int(v)))
-            else:
-                frozen.append((k, mpf(v)))
-        m = EvenMeasure(
+        for name in sorted(shapes):
+            if name not in params:
+                raise ValueError("%s: missing parameter params.%s" % (density_kind, name))
+            frozen.append((name, _freeze(density_kind, name, shapes[name], params[name])))
+        return EvenMeasure(
             kind="NamedDensity", density_kind=density_kind, params=tuple(frozen)
         )
-        _validate_density_params(m)
-        return m
 
 
-def _validate_density_params(m: EvenMeasure):
-    k = m.density_kind
-    if k == "Gaussian" and not (m.param("b0") > 0):
-        raise ValueError("Gaussian requires b0 > 0")
-    if k == "ExpPower" and m.param("q") < 2:
-        raise ValueError("ExpPower requires q >= 2")
-    if k == "CoshExp" and not (m.param("a") > 0):
-        raise ValueError("CoshExp requires a > 0")
-    if k == "PolyaQuartic" and not (m.param("a") > 0):
-        raise ValueError("PolyaQuartic requires a > 0")
-    if k == "SexticField" and not (m.param("a") > 0):
-        raise ValueError("SexticField requires a > 0")
-    if k == "AbsExpGaussian" and not (m.param("a") > 0 and m.param("lam") > 0):
-        raise ValueError("AbsExpGaussian requires a > 0 and lam > 0")
-    if k == "PolyDecayGaussian" and not (
-        m.param("theta") > mpf(1) / 2 and m.param("lam") > 0
-    ):
-        raise ValueError("PolyDecayGaussian requires theta > 1/2 and lam > 0")
-    if k == "DBNClass":
-        if not (m.param("K") > 0) or m.param("m") < 0:
-            raise ValueError("DBNClass requires K > 0 and m >= 0")
-        if m.param("alpha") < 0:
-            raise ValueError("DBNClass requires alpha >= 0")
-        if m.param("alpha") == 0 and m.param("beta") <= 0 and not m.param("a_list"):
-            raise ValueError("DBNClass with alpha=0 needs Gaussian decay from beta/a_j")
+_NUMBER, _INTEGER, _LIST = "a finite number", "an integer", "a list of finite numbers"
+
+
+def _freeze(kind, name, shape, value):
+    if shape == _LIST:
+        if isinstance(value, (list, tuple)):
+            xs = tuple(mpf(x) for x in value)
+            if all(mpmath.isfinite(x) for x in xs):
+                return xs
+    elif not isinstance(value, (list, tuple)):
+        x = mpf(value)
+        if shape == _NUMBER and mpmath.isfinite(x):
+            return x
+        if shape == _INTEGER and mpmath.isint(x):
+            return int(x)
+    raise ValueError("%s: params.%s must be %s" % (kind, name, shape))
 
 
 def convolve_gaussian(base: EvenMeasure, b0, ctx: PrecisionContext = None) -> EvenMeasure:
@@ -282,12 +257,11 @@ def apply_gaussian_multiplier(
                 total = sum(w for _, w in scaled)
                 scaled = tuple((t, w / total) for t, w in scaled)
             return EvenMeasure(kind="SymmetricAtoms", atoms=scaled)
-        if (
-            normalize
-            and measure.kind == "NamedDensity"
-            and measure.density_kind == "Gaussian"
-        ):
-            return named_density("Gaussian", ctx, b0=measure.param("b0") - lam)
+        rate = measure.density_kind and _kind_of(measure).rate
+        if normalize and rate:
+            p = _params(measure)
+            p[rate] -= lam
+            return named_density(measure.density_kind, ctx, **p)
         if measure.kind == "MultipliedMeasure":
             total_lam = measure.lam + lam
             base = measure.base
@@ -309,36 +283,12 @@ def apply_gaussian_multiplier(
 
 def tail_set(measure: EvenMeasure) -> TailSet:
     """Symbolic integrability set {b : int e^{b x^2} d rho < infinity}."""
-    if measure.kind == "SymmetricAtoms":
-        return TailSet("AllReals")
-    if measure.kind == "GaussianConvolution":
-        return TailSet("OpenUpTo", measure.b0)
     if measure.kind == "MultipliedMeasure":
         inner = tail_set(measure.base)
         if inner.shape == "AllReals":
             return inner
         return TailSet(inner.shape, inner.b0 - measure.lam)
-    k = measure.density_kind
-    if k in ("RiemannPhi", "ExpPower", "CoshExp", "PolyaQuartic", "SexticField"):
-        return TailSet("AllReals")
-    if k == "Gaussian":
-        return TailSet("OpenUpTo", measure.param("b0"))
-    if k == "DBNClass":
-        if measure.param("alpha") > 0:
-            return TailSet("AllReals")
-        rate = measure.param("beta") + sum(1 / (a * a) for a in measure.param("a_list"))
-        return TailSet("OpenUpTo", rate)
-    if k in ("AbsExpGaussian", "PolyDecayGaussian"):
-        # At b equal to the Gaussian rate the remaining factor (e^{-a|x|} or
-        # (1+x^2)^{-theta} with theta > 1/2) is still integrable, so the
-        # endpoint belongs to the tail set; the transform is just no longer
-        # entire there.
-        return TailSet("ClosedUpTo", measure.param("lam"))
-    if k == "Case6":
-        return TailSet("OpenUpTo", mpf(1))
-    if k == "Case8":
-        return TailSet("ClosedUpTo", mpf(0))
-    raise DbnlabError("unknown kind for tail_set")
+    return _kind_of(measure).tail(_params(measure))
 
 
 def _require_evaluable(measure: EvenMeasure, lam):
@@ -358,160 +308,73 @@ def _require_evaluable(measure: EvenMeasure, lam):
 
 
 @lru_cache(maxsize=400_000)
-def _density_value_cached(kind, params, t, dps, tol_digits):
+def _density_value_cached(measure, t, dps, tol_digits):
+    spec, p = _kind_of(measure), _params(measure)
     with mp.workdps(dps):
-        p = dict(params)
-        if kind == "RiemannPhi":
-            return numerics._phi_raw(t, dps, tol_digits)
-        if kind == "Gaussian":
-            # unnormalized by convention: the family e^{-b0 t^2} is closed
-            # under Gaussian multipliers with no prefactor bookkeeping, and
-            # scalar multiples never change a zero set
-            return mpmath.exp(-p["b0"] * t * t)
-        if kind == "ExpPower":
-            return mpmath.exp(-(t ** (2 * p["q"])))
-        if kind == "CoshExp":
-            return mpmath.exp(-p["a"] * mpmath.cosh(t))
-        if kind == "DBNClass":
-            val = p["K"] * mpmath.exp(
-                -p["alpha"] * t**4 - p["beta"] * t * t
+        if spec.density is not None:
+            return spec.density(p, t, dps, tol_digits)
+        if spec.g is None:
+            raise DbnlabError(
+                "%s has no pointwise density" % (measure.density_kind or measure.kind)
             )
-            if p["m"]:
-                val *= t ** (2 * p["m"])
-            for a in p["a_list"]:
-                r = t * t / (a * a)
-                val *= (1 + r) * mpmath.exp(-r)
-            return val
-        if kind == "PolyaQuartic":
-            q = p["q"]
-            return mpmath.exp(
-                -p["a"] * t ** (4 * q) + p["b"] * t ** (2 * q) + p["c"] * t * t
+        return mpmath.exp(-spec.g(p, t))
+
+
+# ---------------------------------------------------------------------------
+# per-kind pieces too long for a table line
+# ---------------------------------------------------------------------------
+
+
+def _atoms_valid(p):
+    atoms = p["atoms"]
+    return (
+        bool(atoms)
+        and sum(1 for t, _ in atoms if t == 0) <= 1
+        and all(mpmath.isfinite(t) and mpmath.isfinite(w) and t >= 0 and w > 0
+                for t, w in atoms)
+    )
+
+
+def _conv_density(p, t, dps, tol_digits):
+    b0 = p["b0"]
+    total = mpf(0)
+    for tj, w in p["atoms"]:
+        if tj == 0:
+            total += w * mpmath.exp(-b0 * t * t)
+        else:
+            total += (
+                w * (mpmath.exp(-b0 * (t - tj) ** 2) + mpmath.exp(-b0 * (t + tj) ** 2)) / 2
             )
-        if kind == "SexticField":
-            return mpmath.exp(-p["a"] * t**6 - p["b"] * t**4 - p["c"] * t * t)
-        if kind == "AbsExpGaussian":
-            return mpmath.exp(-p["a"] * t - p["lam"] * t * t)
-        if kind == "PolyDecayGaussian":
-            return (1 + t * t) ** (-p["theta"]) * mpmath.exp(-p["lam"] * t * t)
-        raise DbnlabError("density kind %r has no pointwise form" % kind)
+    return mpmath.sqrt(b0 / mp.pi) * total
 
 
-@lru_cache(maxsize=200_000)
-def _conv_density_cached(atoms, b0, t, dps):
-    with mp.workdps(dps):
-        pref = mpmath.sqrt(b0 / mp.pi)
-        total = mpf(0)
-        for tj, w in atoms:
-            if tj == 0:
-                total += w * mpmath.exp(-b0 * t * t)
-            else:
-                total += (
-                    w
-                    * (
-                        mpmath.exp(-b0 * (t - tj) ** 2)
-                        + mpmath.exp(-b0 * (t + tj) ** 2)
-                    )
-                    / 2
-                )
-        return pref * total
+def _conv_g(p, t):
+    # every smeared atom sits at |t_j| <= tmax, so past tmax the total mass W
+    # spread by the kernel sqrt(b0/pi) e^{-b0 (t - tmax)^2} bounds the density
+    b0 = p["b0"]
+    tmax = max(tj for tj, _ in p["atoms"])
+    W = sum(w for _, w in p["atoms"])
+    return b0 * (t - tmax) ** 2 - mpmath.log(W * mpmath.sqrt(b0 / mp.pi))
 
 
-def _decay_descriptor(measure: EvenMeasure) -> DecayDescriptor:
-    if measure.kind == "GaussianConvolution":
-        b0 = measure.b0
-        tmax = max(t for t, _ in measure.atoms)
-        W = sum(w for _, w in measure.atoms)
-        logC = mpmath.log(W * mpmath.sqrt(b0 / mp.pi))
-        return DecayDescriptor(
-            g=lambda t: b0 * (t - tmax) ** 2 - logC,
-            g_deriv=lambda t: 2 * b0 * (t - tmax),
-            t_min=float(tmax) + 0.25,
-        )
-    p = dict(measure.params)
-    kind = measure.density_kind
-    if kind == "RiemannPhi":
-        logC = mpmath.log(mpf(40))
-        return DecayDescriptor(
-            g=lambda u: mp.pi * mpmath.exp(2 * u) - mpf(9) / 2 * u - logC,
-            g_deriv=lambda u: 2 * mp.pi * mpmath.exp(2 * u) - mpf(9) / 2,
-            t_min=0.5,
-        )
-    if kind == "Gaussian":
-        b0 = p["b0"]
-        return DecayDescriptor(
-            g=lambda t: b0 * t * t,
-            g_deriv=lambda t: 2 * b0 * t,
-            t_min=0.25,
-        )
-    if kind == "ExpPower":
-        q = p["q"]
-        return DecayDescriptor(
-            g=lambda t: t ** (2 * q),
-            g_deriv=lambda t: 2 * q * t ** (2 * q - 1),
-            t_min=0.25,
-        )
-    if kind == "CoshExp":
-        a = p["a"]
-        return DecayDescriptor(
-            g=lambda t: a * mpmath.cosh(t),
-            g_deriv=lambda t: a * mpmath.sinh(t),
-            t_min=0.25,
-        )
-    if kind == "DBNClass":
-        K, m_exp, alpha, beta = p["K"], p["m"], p["alpha"], p["beta"]
-        a_list = p["a_list"]
-        logK = mpmath.log(K)
+def _dbn_g(p, t):
+    val = p["alpha"] * t**4 + p["beta"] * t * t - mpmath.log(p["K"])
+    if p["m"]:
+        val -= 2 * p["m"] * mpmath.log(t)
+    for a in p["a_list"]:
+        r = t * t / (a * a)
+        val += r - mpmath.log(1 + r)
+    return val
 
-        def g(t):
-            val = alpha * t**4 + beta * t * t - logK
-            if m_exp:
-                val -= 2 * m_exp * mpmath.log(t)
-            for a in a_list:
-                r = t * t / (a * a)
-                val += r - mpmath.log(1 + r)
-            return val
 
-        def gp(t):
-            val = 4 * alpha * t**3 + 2 * beta * t
-            if m_exp:
-                val -= 2 * m_exp / t
-            for a in a_list:
-                r = t * t / (a * a)
-                val += (2 * t / (a * a)) * (1 - 1 / (1 + r))
-            return val
-
-        return DecayDescriptor(g=g, g_deriv=gp, t_min=1.0 if m_exp else 0.25)
-    if kind == "PolyaQuartic":
-        a, b, c, q = p["a"], p["b"], p["c"], p["q"]
-        return DecayDescriptor(
-            g=lambda t: a * t ** (4 * q) - b * t ** (2 * q) - c * t * t,
-            g_deriv=lambda t: 4 * a * q * t ** (4 * q - 1)
-            - 2 * b * q * t ** (2 * q - 1)
-            - 2 * c * t,
-            t_min=0.25,
-        )
-    if kind == "SexticField":
-        a, b, c = p["a"], p["b"], p["c"]
-        return DecayDescriptor(
-            g=lambda t: a * t**6 + b * t**4 + c * t * t,
-            g_deriv=lambda t: 6 * a * t**5 + 4 * b * t**3 + 2 * c * t,
-            t_min=0.25,
-        )
-    if kind == "AbsExpGaussian":
-        a, lam0 = p["a"], p["lam"]
-        return DecayDescriptor(
-            g=lambda t: a * t + lam0 * t * t,
-            g_deriv=lambda t: a + 2 * lam0 * t,
-            t_min=0.25,
-        )
-    if kind == "PolyDecayGaussian":
-        theta, lam0 = p["theta"], p["lam"]
-        return DecayDescriptor(
-            g=lambda t: theta * mpmath.log(1 + t * t) + lam0 * t * t,
-            g_deriv=lambda t: 2 * theta * t / (1 + t * t) + 2 * lam0 * t,
-            t_min=0.25,
-        )
-    raise DbnlabError("no decay descriptor for %r" % kind)
+def _dbn_g_deriv(p, t):
+    val = 4 * p["alpha"] * t**3 + 2 * p["beta"] * t
+    if p["m"]:
+        val -= 2 * p["m"] / t
+    for a in p["a_list"]:
+        r = t * t / (a * a)
+        val += (2 * t / (a * a)) * (1 - 1 / (1 + r))
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -551,16 +414,16 @@ def _case8_atoms(dps: int, tol_digits: int, growth_ceil: int = 0) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# transform evaluation
+# closed forms: each returns (values by part, absolute error estimate)
 # ---------------------------------------------------------------------------
 
 
-def _atomic_parts(atoms, lam, z, parts, scale=mpf(1)):
+def _atomic_parts(atoms, lam, z, parts):
     growth = abs(mpmath.im(z))
     out = {p: mpc(0) for p in parts}
     size = mpf(0)
     for t, w in atoms:
-        wl = w * mpmath.exp(lam * t * t) / scale
+        wl = w * mpmath.exp(lam * t * t)
         size += abs(wl) * mpmath.exp(growth * t)
         if t == 0:
             if "value" in out:
@@ -576,39 +439,65 @@ def _atomic_parts(atoms, lam, z, parts, scale=mpf(1)):
     return out, err
 
 
-def _gaussian_parts(b0, lam, z, parts):
-    c = b0 - lam
-    H = mpmath.sqrt(mp.pi / c) * mpmath.exp(-z * z / (4 * c))
-    out = {}
-    if "value" in parts:
-        out["value"] = H
-    if "deriv" in parts:
-        out["deriv"] = -z / (2 * c) * H
-    if "moment2" in parts:
-        out["moment2"] = H * (1 / (2 * c) - z * z / (4 * c * c))
-    return out
+def _closed_form_err(vals):
+    scale = max(abs(v) for v in vals.values())
+    return max(scale, mpf(1)) * mpf(10) ** (4 - mp.dps)
 
 
-def _case6_parts(lam, z, parts):
-    alpha = 1 - lam
-    C = mpmath.sqrt(mp.pi / alpha)
-    E = mpmath.exp(-z * z / (4 * alpha))
-    P = 1 + mpc(0, 1) * z / (2 * alpha)
-    Pp = mpc(0, 1) / (2 * alpha)
+def _gaussian_shape_parts(c, k, S, z, parts):
+    """Parts of H(z) = k e^{-z^2/(4c)} S(z) from S = (S, S', S'').
+
+    Only the derivatives of S that the requested parts use need be present.
+    """
+    A = k * mpmath.exp(-z * z / (4 * c))
     out = {}
     if "value" in parts:
-        out["value"] = C * P * E
+        out["value"] = A * S[0]
     if "deriv" in parts:
-        out["deriv"] = C * E * (Pp - P * z / (2 * alpha))
+        out["deriv"] = A * (S[1] - z / (2 * c) * S[0])
     if "moment2" in parts:
-        h2 = C * E * (
-            P * z * z / (4 * alpha * alpha) - P / (2 * alpha) - Pp * z / alpha
-        )
+        h2 = A * (S[2] - z / c * S[1] + (z * z / (4 * c * c) - 1 / (2 * c)) * S[0])
         out["moment2"] = -h2
-    return out
+    return out, _closed_form_err(out)
 
 
-def _case8_closed_parts(z, parts):
+def _gaussian_closed(p, lam, z, parts, ctx):
+    c = p["b0"] - lam
+    return _gaussian_shape_parts(c, mpmath.sqrt(mp.pi / c), (1, 0, 0), z, parts)
+
+
+def _case6_closed(p, lam, z, parts, ctx):
+    # rho = (1 + x) e^{-x^2}, so S(z) = 1 + iz/(2 alpha) with alpha = 1 - lam
+    alpha = 1 - lam
+    S = (1 + mpc(0, 1) * z / (2 * alpha), mpc(0, 1) / (2 * alpha), 0)
+    return _gaussian_shape_parts(alpha, mpmath.sqrt(mp.pi / alpha), S, z, parts)
+
+
+def _conv_closed(p, lam, z, parts, ctx):
+    b0 = p["b0"]
+    c = b0 - lam
+    order = 2 if "moment2" in parts else 1 if "deriv" in parts else 0
+    S = [mpc(0)] * (order + 1)
+    for t, w in p["atoms"]:
+        if t == 0:
+            S[0] += w
+            continue
+        gam = b0 * t / c
+        beta = mpmath.exp(b0 * t * t * (b0 / c - 1))
+        cos = mpmath.cos(gam * z)
+        S[0] += w * beta * cos
+        if order >= 1:
+            S[1] += -w * beta * gam * mpmath.sin(gam * z)
+        if order >= 2:
+            S[2] += -w * beta * gam * gam * cos
+    return _gaussian_shape_parts(c, mpmath.sqrt(b0 / c), S, z, parts)
+
+
+def _case8_closed(p, lam, z, parts, ctx):
+    if lam != 0:
+        growth_ceil = int(mpmath.ceil(abs(mpmath.im(z))))
+        atoms = _case8_atoms(mp.dps, ctx.tol_digits, growth_ceil)
+        return _atomic_parts(atoms, lam, z, parts)
     # E[e^{izX}] = (1/2) c (1+c) e^{c-1} with c = cos z
     c = mpmath.cos(z)
     s = mpmath.sin(z)
@@ -621,37 +510,160 @@ def _case8_closed_parts(z, parts):
     if "moment2" in parts:
         h2 = -(c * (1 + 3 * c + c * c) - s * s * (4 + 5 * c + c * c)) * E / 2
         out["moment2"] = -h2
-    return out
+    return out, _closed_form_err(out)
 
 
-def _conv_parts(atoms, b0, lam, z, parts):
-    c = b0 - lam
-    A = mpmath.sqrt(b0 / c) * mpmath.exp(-z * z / (4 * c))
-    S = mpc(0)
-    Sp = mpc(0)
-    Spp = mpc(0)
-    for t, w in atoms:
-        if t == 0:
-            S += w
-            continue
-        gam = b0 * t / c
-        beta = mpmath.exp(b0 * t * t * (b0 / c - 1))
-        S += w * beta * mpmath.cos(gam * z)
-        Sp += -w * beta * gam * mpmath.sin(gam * z)
-        Spp += -w * beta * gam * gam * mpmath.cos(gam * z)
-    out = {}
-    if "value" in parts:
-        out["value"] = A * S
-    if "deriv" in parts:
-        out["deriv"] = A * (Sp - z / (2 * c) * S)
-    if "moment2" in parts:
-        h2 = A * (
-            Spp
-            - z / c * Sp
-            + (z * z / (4 * c * c) - 1 / (2 * c)) * S
-        )
-        out["moment2"] = -h2
-    return out
+# ---------------------------------------------------------------------------
+# the kind table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What this module knows about one kind of measure.
+
+    Every callable takes the measure's parameter dict p (see _params) first.
+    """
+
+    tail: callable  # p -> TailSet
+    params: tuple = ()  # (name, shape) pairs, exactly what named_density takes
+    requires: str = ""  # the constraint valid(p) checks, for error messages
+    valid: callable = lambda p: True
+    g: callable = None  # (p, t) -> g(t) with f(t) <= exp(-g(t)) for t >= t_min
+    g_deriv: callable = None  # (p, t) -> g'(t)
+    t_min: callable = lambda p: 0.25
+    density: callable = None  # (p, t, dps, tol_digits) -> f(t), where f != exp(-g)
+    closed: callable = None  # (p, lam, z, parts, ctx) -> (values, error estimate)
+    real_on_axis: bool = True
+    rate: str = None  # the parameter a normalized Gaussian multiplier shifts by -lam
+    named: bool = True  # built by named_density, not from atoms
+
+
+_KINDS = {
+    "SymmetricAtoms": _Kind(
+        named=False,
+        requires="at least one atom, finite positions >= 0, finite weights > 0 "
+        "and at most one atom at the origin",
+        valid=_atoms_valid,
+        tail=lambda p: TailSet("AllReals"),
+        closed=lambda p, lam, z, parts, ctx: _atomic_parts(p["atoms"], lam, z, parts),
+    ),
+    "GaussianConvolution": _Kind(
+        named=False,
+        requires="a finite b0 > 0",
+        valid=lambda p: mpmath.isfinite(p["b0"]) and p["b0"] > 0,
+        tail=lambda p: TailSet("OpenUpTo", p["b0"]),
+        g=_conv_g,
+        g_deriv=lambda p, t: 2 * p["b0"] * (t - max(tj for tj, _ in p["atoms"])),
+        t_min=lambda p: float(max(tj for tj, _ in p["atoms"])) + 0.25,
+        density=_conv_density,
+        closed=_conv_closed,
+    ),
+    "RiemannPhi": _Kind(
+        tail=lambda p: TailSet("AllReals"),
+        # only the n = 1 term matters past u = 1/2, and 4 pi^2 < 40
+        g=lambda p, u: mp.pi * mpmath.exp(2 * u) - mpf(9) / 2 * u - mpmath.log(mpf(40)),
+        g_deriv=lambda p, u: 2 * mp.pi * mpmath.exp(2 * u) - mpf(9) / 2,
+        t_min=lambda p: 0.5,
+        density=lambda p, t, dps, tol_digits: numerics._phi_raw(t, dps, tol_digits),
+    ),
+    # unnormalized by convention: the family e^{-b0 t^2} is closed under
+    # Gaussian multipliers with no prefactor bookkeeping, and scalar
+    # multiples never change a zero set
+    "Gaussian": _Kind(
+        params=(("b0", _NUMBER),),
+        requires="b0 > 0",
+        valid=lambda p: p["b0"] > 0,
+        tail=lambda p: TailSet("OpenUpTo", p["b0"]),
+        g=lambda p, t: p["b0"] * t * t,
+        g_deriv=lambda p, t: 2 * p["b0"] * t,
+        closed=_gaussian_closed,
+        rate="b0",
+    ),
+    "ExpPower": _Kind(
+        params=(("q", _INTEGER),),
+        requires="q >= 2",
+        valid=lambda p: p["q"] >= 2,
+        tail=lambda p: TailSet("AllReals"),
+        g=lambda p, t: t ** (2 * p["q"]),
+        g_deriv=lambda p, t: 2 * p["q"] * t ** (2 * p["q"] - 1),
+    ),
+    "CoshExp": _Kind(
+        params=(("a", _NUMBER),),
+        requires="a > 0",
+        valid=lambda p: p["a"] > 0,
+        tail=lambda p: TailSet("AllReals"),
+        g=lambda p, t: p["a"] * mpmath.cosh(t),
+        g_deriv=lambda p, t: p["a"] * mpmath.sinh(t),
+    ),
+    # K t^{2m} e^{-alpha t^4 - beta t^2} prod_j (1 + t^2/a_j^2) e^{-t^2/a_j^2}
+    "DBNClass": _Kind(
+        params=(("K", _NUMBER), ("m", _INTEGER), ("alpha", _NUMBER),
+                ("beta", _NUMBER), ("a_list", _LIST)),
+        requires="K > 0, m >= 0, alpha >= 0, and beta > 0 or a non-empty "
+        "a_list when alpha = 0",
+        valid=lambda p: p["K"] > 0 and p["m"] >= 0 and p["alpha"] >= 0
+        and (p["alpha"] > 0 or p["beta"] > 0 or bool(p["a_list"])),
+        tail=lambda p: TailSet("AllReals") if p["alpha"] > 0 else TailSet(
+            "OpenUpTo", p["beta"] + sum(1 / (a * a) for a in p["a_list"])
+        ),
+        g=_dbn_g,
+        g_deriv=_dbn_g_deriv,
+        t_min=lambda p: 1.0 if p["m"] else 0.25,
+    ),
+    "PolyaQuartic": _Kind(
+        params=(("a", _NUMBER), ("b", _NUMBER), ("c", _NUMBER), ("q", _INTEGER)),
+        requires="a > 0 and q >= 1",
+        valid=lambda p: p["a"] > 0 and p["q"] >= 1,
+        tail=lambda p: TailSet("AllReals"),
+        g=lambda p, t: p["a"] * t ** (4 * p["q"]) - p["b"] * t ** (2 * p["q"])
+        - p["c"] * t * t,
+        g_deriv=lambda p, t: 4 * p["a"] * p["q"] * t ** (4 * p["q"] - 1)
+        - 2 * p["b"] * p["q"] * t ** (2 * p["q"] - 1)
+        - 2 * p["c"] * t,
+    ),
+    "SexticField": _Kind(
+        params=(("a", _NUMBER), ("b", _NUMBER), ("c", _NUMBER)),
+        requires="a > 0",
+        valid=lambda p: p["a"] > 0,
+        tail=lambda p: TailSet("AllReals"),
+        g=lambda p, t: p["a"] * t**6 + p["b"] * t**4 + p["c"] * t * t,
+        g_deriv=lambda p, t: 6 * p["a"] * t**5 + 4 * p["b"] * t**3 + 2 * p["c"] * t,
+    ),
+    # At b equal to the Gaussian rate lam the remaining factor (e^{-a|x|} or
+    # (1+x^2)^{-theta} with theta > 1/2) is still integrable, so the endpoint
+    # belongs to the tail set; the transform is just no longer entire there.
+    "AbsExpGaussian": _Kind(
+        params=(("a", _NUMBER), ("lam", _NUMBER)),
+        requires="a > 0 and lam > 0",
+        valid=lambda p: p["a"] > 0 and p["lam"] > 0,
+        tail=lambda p: TailSet("ClosedUpTo", p["lam"]),
+        g=lambda p, t: p["a"] * t + p["lam"] * t * t,
+        g_deriv=lambda p, t: p["a"] + 2 * p["lam"] * t,
+    ),
+    "PolyDecayGaussian": _Kind(
+        params=(("lam", _NUMBER), ("theta", _NUMBER)),
+        requires="theta > 1/2 and lam > 0",
+        valid=lambda p: p["theta"] > mpf(1) / 2 and p["lam"] > 0,
+        tail=lambda p: TailSet("ClosedUpTo", p["lam"]),
+        g=lambda p, t: p["theta"] * mpmath.log(1 + t * t) + p["lam"] * t * t,
+        g_deriv=lambda p, t: 2 * p["theta"] * t / (1 + t * t) + 2 * p["lam"] * t,
+    ),
+    "Case6": _Kind(
+        tail=lambda p: TailSet("OpenUpTo", mpf(1)),
+        closed=_case6_closed,
+        real_on_axis=False,
+    ),
+    "Case8": _Kind(
+        tail=lambda p: TailSet("ClosedUpTo", mpf(0)),
+        closed=_case8_closed,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# transform evaluation
+# ---------------------------------------------------------------------------
 
 
 def eval_H_parts(
@@ -683,40 +695,12 @@ def eval_H_parts(
                 }
             return inner
 
-        if measure.kind == "SymmetricAtoms":
-            vals, err = _atomic_parts(measure.atoms, lam, z, parts)
-            return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
-
-        if measure.kind == "GaussianConvolution":
-            vals = _conv_parts(measure.atoms, measure.b0, lam, z, parts)
-            err = _closed_form_err(vals)
-            return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
-
-        k = measure.density_kind
-        if k == "Gaussian":
-            vals = _gaussian_parts(measure.param("b0"), lam, z, parts)
-            err = _closed_form_err(vals)
-            return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
-        if k == "Case6":
-            vals = _case6_parts(lam, z, parts)
-            err = _closed_form_err(vals)
-            return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
-        if k == "Case8":
-            if lam == 0:
-                vals = _case8_closed_parts(z, parts)
-                err = _closed_form_err(vals)
-                return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
-            growth_ceil = int(mpmath.ceil(abs(mpmath.im(z))))
-            atoms = _case8_atoms(mp.dps, ctx.tol_digits, growth_ceil)
-            vals, err = _atomic_parts(atoms, lam, z, parts)
-            return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
-        # density kinds without closed form: adaptive quadrature
-        return numerics.eval_H_density_parts(measure, lam, z, ctx, parts=parts, **kw)
-
-
-def _closed_form_err(vals):
-    scale = max(abs(v) for v in vals.values())
-    return max(scale, mpf(1)) * mpf(10) ** (4 - mp.dps)
+        closed = _kind_of(measure).closed
+        if closed is None:
+            # density kinds without closed form: adaptive quadrature
+            return numerics.eval_H_density_parts(measure, lam, z, ctx, parts=parts, **kw)
+        vals, err = closed(_params(measure), lam, z, parts, ctx)
+        return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
 
 
 def eval_H(measure, lam, z, ctx: PrecisionContext = None, **kw) -> TransformEval:
@@ -752,7 +736,8 @@ class TransformFunction:
 
     def real_on_axis(self) -> bool:
         """Whether H is real-valued for real z (true for even measures)."""
-        return self.measure.kind != "NamedDensity" or self.measure.density_kind != "Case6"
+        m = self.measure
+        return _kind_of(m.base if m.kind == "MultipliedMeasure" else m).real_on_axis
 
 
 def transform_function(measure, lam, ctx: PrecisionContext = None) -> TransformFunction:

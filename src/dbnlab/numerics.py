@@ -92,10 +92,7 @@ def _tol_key(ctx: PrecisionContext) -> int:
     return ctx.tol_digits
 
 
-@lru_cache(maxsize=400_000)
 def _phi_raw(u: mpf, dps: int, tol_digits: int) -> mpf:
-    # u >= 0 exact mpf; cache key includes precision and tolerance digits so
-    # results are call-order independent.
     with mp.workdps(dps):
         tol = mpf(10) ** (-tol_digits)
         w = mpmath.exp(2 * u)            # e^{2u}

@@ -156,6 +156,22 @@ class TestMeasureSchema:
             ({"kind": "Gaussian", "atoms": [[1, 1]], "params": {"b0": 1}}, "$.atoms"),
             ({"kind": "NoSuchKind", "params": {}}, "$:"),
             ({"kind": "GaussianConvolution", "atoms": [[1, 1]], "params": {}}, "$.params"),
+            ({"kind": "PolyaQuartic", "params": {"a": 1}}, "missing parameter params.b"),
+            (
+                {
+                    "kind": "DBNClass",
+                    "params": {"K": 1, "m": 1, "alpha": 1, "beta": 0, "a_list": 2},
+                },
+                "params.a_list must be a list of finite numbers",
+            ),
+            ({"kind": "Gaussian", "params": {"b0": 1, "b": 3}}, "unknown parameter params.b"),
+            ({"kind": "PolyaQuartic", "params": {"a": 1, "b": 0, "c": 1, "q": 0}}, "q >= 1"),
+            ({"kind": "Gaussian", "params": {"b0": "inf"}}, "params.b0 must be a finite number"),
+            ({"kind": "SymmetricAtoms", "atoms": [[1, "inf"]]}, "SymmetricAtoms requires"),
+            (
+                {"kind": "GaussianConvolution", "atoms": [[0, 1], [1, 1]], "params": {"b0": "inf"}},
+                "GaussianConvolution requires a finite b0 > 0",
+            ),
         ],
     )
     def test_violations_name_the_path(self, spec, path):

@@ -24,8 +24,9 @@ from dbnlab import (
     tail_set,
     transform_function,
 )
-from dbnlab.measures import _case8_atoms
-from dbnlab import numerics
+from dbnlab.cli import parse_measure_spec
+from dbnlab.measures import _KINDS, _case8_atoms
+from dbnlab import SchemaError, numerics
 
 CTX = PrecisionContext()
 
@@ -158,17 +159,28 @@ class TestAtomTransforms:
             assert abs(got - want) < mpf("1e-40")
 
     def test_parts_match_finite_differences(self):
-        m = symmetric_atoms([(0, 1), (mpf("0.7"), 2), (2, mpf("0.3"))])
-        with mp.workdps(60):
-            z = mpc("0.9", "0.2")
-            h = mpf("1e-12")
-            parts = eval_H_parts(m, mpf("-0.1"), z, CTX, ("value", "deriv", "moment2"))
-            plus = eval_H(m, mpf("-0.1"), z + h, CTX).value
-            minus = eval_H(m, mpf("-0.1"), z - h, CTX).value
-            fd = (plus - minus) / (2 * h)
-            assert abs(parts["deriv"].value - fd) < mpf("1e-22")
-            fd2 = (plus - 2 * parts["value"].value + minus) / (h * h)
-            assert abs(parts["moment2"].value + fd2) < mpf("1e-12")
+        # H' and -H'' of every closed form against central differences of H
+        base = symmetric_atoms([(0, mpf(3) / 5), (1, mpf(2) / 5)])
+        cases = (
+            (symmetric_atoms([(0, 1), (mpf("0.7"), 2), (2, mpf("0.3"))]), mpf("-0.1")),
+            (named_density("Gaussian", CTX, b0=2), mpf("-0.1")),
+            (convolve_gaussian(base, 5, CTX), mpf(2)),
+            (named_density("Case6", CTX), mpf("0.25")),
+            (named_density("Case8", CTX), mpf(0)),
+            (named_density("Case8", CTX), mpf("-0.25")),
+        )
+        for m, lam in cases:
+            label = "%s at lam=%s" % (m.density_kind or m.kind, lam)
+            with mp.workdps(60):
+                z = mpc("0.9", "0.2")
+                h = mpf("1e-12")
+                parts = eval_H_parts(m, lam, z, CTX, ("value", "deriv", "moment2"))
+                plus = eval_H(m, lam, z + h, CTX).value
+                minus = eval_H(m, lam, z - h, CTX).value
+                fd = (plus - minus) / (2 * h)
+                assert abs(parts["deriv"].value - fd) < mpf("1e-22"), label
+                fd2 = (plus - 2 * parts["value"].value + minus) / (h * h)
+                assert abs(parts["moment2"].value + fd2) < mpf("1e-12"), label
 
 
 class TestConvolution:
@@ -311,6 +323,68 @@ class TestSpecialKinds:
         a = named_density("AbsExpGaussian", CTX, a=1, lam=1)
         v = eval_H(a, mpf(1), mpf("0.5"), CTX)
         assert v.value.real != 0
+
+
+#: a minimal measure file for every kind in the kind table
+KIND_SPECS = {
+    "SymmetricAtoms": {"kind": "SymmetricAtoms", "atoms": [[0, 0.5], [1, 0.5]]},
+    "GaussianConvolution": {
+        "kind": "GaussianConvolution", "atoms": [[0, 0.6], [1, 0.4]], "params": {"b0": 2},
+    },
+    "RiemannPhi": {"kind": "RiemannPhi"},
+    "Gaussian": {"kind": "Gaussian", "params": {"b0": 1}},
+    "ExpPower": {"kind": "ExpPower", "params": {"q": 2}},
+    "CoshExp": {"kind": "CoshExp", "params": {"a": 1}},
+    "DBNClass": {
+        "kind": "DBNClass",
+        "params": {"K": 1, "m": 1, "alpha": 1, "beta": 0, "a_list": [1]},
+    },
+    "PolyaQuartic": {"kind": "PolyaQuartic", "params": {"a": 1, "b": 0, "c": 1, "q": 1}},
+    "SexticField": {"kind": "SexticField", "params": {"a": 1, "b": 0, "c": 0}},
+    "AbsExpGaussian": {"kind": "AbsExpGaussian", "params": {"a": 1, "lam": 1}},
+    "PolyDecayGaussian": {"kind": "PolyDecayGaussian", "params": {"theta": 1, "lam": 1}},
+    "Case6": {"kind": "Case6"},
+    "Case8": {"kind": "Case8"},
+}
+LIGHT = PrecisionContext(20, mpf("1e-10"))
+
+
+class TestKindTable:
+    def test_every_kind_has_a_spec(self):
+        assert set(KIND_SPECS) == set(_KINDS)
+
+    @pytest.mark.parametrize("name", sorted(KIND_SPECS))
+    def test_minimal_spec_round_trips_and_evaluates(self, name):
+        spec = KIND_SPECS[name]
+        m = parse_measure_spec(spec, LIGHT)
+        assert (m.density_kind or m.kind) == name
+        # every parameter is required
+        for key in spec.get("params", {}):
+            short = dict(spec, params={k: v for k, v in spec["params"].items() if k != key})
+            with pytest.raises(SchemaError):
+                parse_measure_spec(short, LIGHT)
+        te = eval_H(m, mpf(0), mpf(1), LIGHT)
+        assert mpmath.isfinite(te.value) and te.value != 0
+        assert te.abs_error_estimate <= LIGHT.target_abs_tol
+        real = abs(te.value.imag) <= te.abs_error_estimate
+        assert real == transform_function(m, mpf(0), LIGHT).real_on_axis()
+
+    @pytest.mark.parametrize(
+        "name", sorted(k for k, spec in _KINDS.items() if spec.g is not None)
+    )
+    def test_envelope_bounds_density(self, name):
+        # f(t) <= exp(-g(t)) past t_min is what the tail bound of the
+        # quadrature route rests on; g' must be the derivative of g
+        m = parse_measure_spec(KIND_SPECS[name], LIGHT)
+        descr = m.decay_descriptor()
+        with mp.workdps(40):
+            for k in (1, 2, 4):
+                t = mpf(descr.t_min) * k
+                f = m.density_value(t, mp.dps, 30)
+                bound = mpmath.exp(-descr.g(t))
+                assert 0 < f <= bound * (1 + mpf("1e-25")), (name, t)
+                slope = descr.g_deriv(t)
+                assert abs(slope - mpmath.diff(descr.g, t)) <= mpf("1e-20") * (1 + abs(slope))
 
 
 ATOM_STRATEGY = st.lists(
