@@ -15,6 +15,7 @@ from .precision import (
     DbnlabError,
     DomainError,
     EntirenessError,
+    FieldError,
     PrecisionContext,
     PrecisionLossError,
     QuadratureError,
@@ -38,6 +39,7 @@ from .measures import (
     convolve_gaussian,
     eval_H,
     eval_H_parts,
+    make_measure,
     named_density,
     partial_gaussian_mass,
     symmetric_atoms,

@@ -4,8 +4,9 @@ Every subcommand emits a meta record (the only place a timestamp appears)
 followed by data records, as JSON lines or CSV.  Arbitrary-precision
 numbers are rendered as decimal strings at the configured digit count, so
 a fixed configuration reproduces its output byte for byte.  Grid scans,
-close-pair sweeps, and the casebook distribute work across processes when
-asked; worker processes rebuild their own precision state, since the
+close-pair sweeps and the casebook have one run path: one picklable job
+per point, k or case, run by _pool_map inline for one worker and across
+processes for more.  Each job rebuilds its own precision state, since the
 underlying bignum library keeps precision in thread-shared state.
 """
 
@@ -30,19 +31,13 @@ from .estimator import (
     scan_lambda,
 )
 from .flow import FlowState, backward_heat_residual, integrate_flow
-from .leeyang import PLUS_MINUS_ONE, SpinSystem, phi4, phi6, verify_leeyang
-from .measures import (
-    EvenMeasure,
-    convolve_gaussian,
-    eval_H,
-    named_density,
-    symmetric_atoms,
-    transform_function,
-)
+from .leeyang import PLUS_MINUS_ONE, SiteMeasure, SpinSystem, verify_leeyang
+from .measures import EvenMeasure, eval_H, make_measure, transform_function
 from .numerics import eval_phi, eval_theta, eval_xi_reference
 from .precision import (
     DbnlabError,
     DomainError,
+    FieldError,
     PrecisionContext,
     SchemaError,
 )
@@ -55,11 +50,10 @@ _FORMATS = ("json-lines", "csv")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Shared run settings: precision, window, output format, parallelism."""
+    """Shared run settings: precision, output format, parallelism."""
 
     digits: int = 25
     target_tol: str = "1e-12"
-    window: Rectangle = None
     fmt: str = "json-lines"
     workers: int = 1
 
@@ -165,11 +159,7 @@ def _parse_rect(text) -> Rectangle:
     parts = str(text).split(",")
     if len(parts) != 4:
         raise SchemaError("--rect: expected A,B,C,D, got %r" % text)
-    vals = [_parse_mpf(p, "--rect") for p in parts]
-    try:
-        return Rectangle.make(*vals)
-    except (DomainError, ValueError) as e:
-        raise SchemaError("--rect: %s" % e)
+    return _built_at("--rect", Rectangle.make, *[_parse_mpf(p, "--rect") for p in parts])
 
 
 def _load_json(path: str):
@@ -200,6 +190,16 @@ def _reject_unknown(node: dict, allowed, path: str):
             raise SchemaError("%s.%s: unexpected field" % (path, key))
 
 
+def _built_at(path: str, build, *args):
+    """build(*args), with what it refuses reported as a schema error at path."""
+    try:
+        return build(*args)
+    except FieldError as e:
+        raise SchemaError("%s.%s: %s" % (path, e.field, e))
+    except (ValueError, DomainError) as e:
+        raise SchemaError("%s: %s" % (path, e))
+
+
 def _parse_atoms(node, path: str):
     if not isinstance(node, list) or not node:
         raise SchemaError("%s: expected a non-empty array of [t, w] pairs" % path)
@@ -215,8 +215,8 @@ def _parse_atoms(node, path: str):
 def parse_measure_spec(spec, ctx: PrecisionContext) -> EvenMeasure:
     """Measure from its JSON form: {"kind": ..., "atoms": ..., "params": ...}.
 
-    kind is "SymmetricAtoms", "GaussianConvolution", or a named density;
-    atoms is an array of [t, w] with w the total weight at +-t; params is
+    kind is any kind make_measure builds; atoms, for the kinds built from
+    atoms, is an array of [t, w] with w the total weight at +-t; params is
     an object of numbers (or arrays of numbers).  Violations report the
     JSON path.
     """
@@ -237,37 +237,18 @@ def parse_measure_spec(spec, ctx: PrecisionContext) -> EvenMeasure:
                 )
             else:
                 params[key] = _expect_number(val, path)
-
-    try:
-        if kind == "SymmetricAtoms":
-            if "atoms" not in top:
-                raise SchemaError("$.atoms: required for SymmetricAtoms")
-            if params:
-                raise SchemaError("$.params: not accepted for SymmetricAtoms")
-            return symmetric_atoms(_parse_atoms(top["atoms"], "$.atoms"), ctx)
-        if kind == "GaussianConvolution":
-            if "atoms" not in top:
-                raise SchemaError("$.atoms: required for GaussianConvolution")
-            if set(params) != {"b0"}:
-                raise SchemaError("$.params: GaussianConvolution needs exactly b0")
-            base = symmetric_atoms(_parse_atoms(top["atoms"], "$.atoms"), ctx)
-            return convolve_gaussian(base, params["b0"], ctx)
-        if "atoms" in top:
-            raise SchemaError("$.atoms: only atomic kinds carry atoms")
-        return named_density(kind, ctx, **params)
-    except SchemaError:
-        raise
-    except (ValueError, KeyError, DomainError) as e:
-        raise SchemaError("$: %s" % e)
+    atoms = _parse_atoms(top["atoms"], "$.atoms") if "atoms" in top else None
+    return _built_at("$", make_measure, kind, params, atoms, ctx)
 
 
 def parse_system_spec(spec) -> SpinSystem:
     """Spin system from its JSON form.
 
     Required "couplings" (square symmetric matrix, zero diagonal);
-    optional "beta" (default 1), "site" ("PlusMinusOne" or
-    {"kind": "Phi4"|"Phi6", "params": {...}}), "field_weights",
-    "search_mode".
+    optional "beta" (default 1), "site" (a site kind name, or
+    {"kind": ..., "params": {...}}; default "PlusMinusOne"),
+    "field_weights", "search_mode".  A value the layers below refuse, a
+    site parameter included, is a schema error naming its JSON path.
     """
     top = _expect_object(spec, "$")
     _reject_unknown(
@@ -300,40 +281,18 @@ def parse_system_spec(spec) -> SpinSystem:
             for i, v in enumerate(wnode)
         ]
 
-    site = top.get("site", "PlusMinusOne")
-    if site == "PlusMinusOne":
-        site_measure = PLUS_MINUS_ONE
-    else:
-        snode = _expect_object(site, "$.site")
+    site = PLUS_MINUS_ONE
+    if "site" in top:
+        snode = top["site"]
+        snode = _expect_object({"kind": snode} if isinstance(snode, str) else snode, "$.site")
         _reject_unknown(snode, ("kind", "params"), "$.site")
-        skind = snode.get("kind")
         sparams = _expect_object(snode.get("params", {}), "$.site.params")
         vals = {
             k: float(_expect_number(v, "$.site.params.%s" % k))
             for k, v in sparams.items()
         }
-        try:
-            if skind == "Phi4":
-                site_measure = phi4(**vals)
-            elif skind == "Phi6":
-                site_measure = phi6(**vals)
-            else:
-                raise SchemaError(
-                    "$.site.kind: expected Phi4 or Phi6, got %r" % (skind,)
-                )
-        except TypeError:
-            raise SchemaError("$.site.params: wrong parameter names for %s" % skind)
-
-    try:
-        return SpinSystem.make(
-            couplings,
-            beta=beta,
-            site_measure=site_measure,
-            field_weights=weights,
-            search_mode=search_mode,
-        )
-    except DomainError as e:
-        raise SchemaError("$.couplings: %s" % e)
+        site = _built_at("$.site", SiteMeasure.make, snode.get("kind"), vals)
+    return _built_at("$", SpinSystem.make, couplings, beta, site, weights, search_mode)
 
 
 def _parse_flow_init(spec):
@@ -349,13 +308,8 @@ def _parse_flow_init(spec):
         node = top["positions"]
         if not isinstance(node, list):
             raise SchemaError("$.positions: expected an array")
-    try:
-        positions = [
-            float(_expect_number(v, "$[%d]" % i)) for i, v in enumerate(node)
-        ]
-        return FlowState.make(t0, positions)
-    except DomainError as e:
-        raise SchemaError("$.positions: %s" % e)
+    positions = [float(_expect_number(v, "$[%d]" % i)) for i, v in enumerate(node)]
+    return _built_at("$.positions", FlowState.make, t0, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +318,11 @@ def _parse_flow_init(spec):
 
 
 def _scan_point_job(args):
-    spec, lam_text, rect_text, digits, tol_text = args
-    cfg = RunConfig(digits=digits, target_tol=tol_text)
-    ctx = cfg.context()
+    """Fields of one scan_point record; the command adds the warnings."""
+    measure, lam, rect, digits, tol_text = args
+    ctx = RunConfig(digits=digits, target_tol=tol_text).context()
     with ctx.workdps():
-        measure = parse_measure_spec(spec, ctx)
-        lam = _parse_mpf(lam_text, "lambda")
-        rect = _parse_rect(rect_text)
-        out = scan_lambda(measure, [lam], rect, ctx)[0]
-        return _scan_point_fields(out)
-
-
-def _scan_point_fields(r):
+        r = scan_lambda(measure, [lam], rect, ctx)[0]
     fields = {
         "lambda": r.lam,
         "entire": r.entire,
@@ -394,15 +341,8 @@ def _scan_point_fields(r):
 
 
 def _lehmer_job(args):
-    table_text, k, radius_text, digits, tol_text = args
-    cfg = RunConfig(digits=digits, target_tol=tol_text)
-    ctx = cfg.context()
-    with ctx.workdps():
-        table = ingest_zero_table(table_text, ctx=ctx)
-        return _lehmer_fields(table, k, _parse_mpf(radius_text, "--radius"), ctx)
-
-
-def _lehmer_fields(table, k, radius, ctx):
+    table, k, radius, digits, tol_text = args
+    ctx = RunConfig(digits=digits, target_tol=tol_text).context()
     with ctx.workdps():
         xs = table.ordinates
         mean_gap = (xs[-1] - xs[0]) / (len(xs) - 1) if len(xs) > 1 else mpf(1)
@@ -534,8 +474,7 @@ def _cmd_zeros(args, cfg, emit):
 
 def _cmd_scan(args, cfg, emit):
     ctx = cfg.context()
-    spec = _load_json(args.measure)
-    parse_measure_spec(spec, ctx)  # validate before spawning any workers
+    measure = parse_measure_spec(_load_json(args.measure), ctx)
     rect = _parse_rect(args.rect)
     lmin = _parse_mpf(args.lmin, "--lmin")
     lmax = _parse_mpf(args.lmax, "--lmax")
@@ -547,20 +486,11 @@ def _cmd_scan(args, cfg, emit):
     with ctx.workdps():
         grid = [lmin + (lmax - lmin) * k / (steps - 1) for k in range(steps)]
 
-    if cfg.workers > 1:
-        jobs = [
-            (spec, mpmath.nstr(lam, cfg.digits), args.rect, cfg.digits, cfg.target_tol)
-            for lam in grid
-        ]
-        rows = _pool_map(jobs, _scan_point_job, cfg.workers)
-        flagged = monotonicity_warnings(
-            [(mpf(str(r["lambda"])), r["all_real"]) for r in rows]
-        )
-        for i, warning in flagged.items():
-            rows[i]["warning"] = warning
-    else:
-        measure = parse_measure_spec(spec, ctx)
-        rows = [_scan_point_fields(r) for r in scan_lambda(measure, grid, rect, ctx)]
+    jobs = [(measure, lam, rect, cfg.digits, cfg.target_tol) for lam in grid]
+    rows = _pool_map(jobs, _scan_point_job, cfg.workers)
+    flagged = monotonicity_warnings([(r["lambda"], r["all_real"]) for r in rows])
+    for i, warning in flagged.items():
+        rows[i]["warning"] = warning
     for row in rows:
         emit.record("scan_point", row)
     return 0
@@ -601,13 +531,8 @@ def _cmd_lehmer(args, cfg, emit):
         )
     radius = _parse_mpf(args.radius, "--radius")
 
-    ks = list(range(k_from, k_to + 1))
-    if cfg.workers > 1:
-        jobs = [(table_text, k, args.radius, cfg.digits, cfg.target_tol) for k in ks]
-        rows = _pool_map(jobs, _lehmer_job, cfg.workers)
-    else:
-        rows = [_lehmer_fields(table, k, radius, ctx) for k in ks]
-    for kind, fields in rows:
+    jobs = [(table, k, radius, cfg.digits, cfg.target_tol) for k in range(k_from, k_to + 1)]
+    for kind, fields in _pool_map(jobs, _lehmer_job, cfg.workers):
         emit.record(kind, fields)
     return 0
 

@@ -76,13 +76,6 @@ class LehmerPairRecord:
     truncation_radius: mpf
 
 
-def _admissible(measure: EvenMeasure, lam) -> bool:
-    ts = tail_set(measure)
-    if ts.contains_interior(lam):
-        return True
-    return ts.shape == "ClosedUpTo" and mpf(lam) == ts.b0
-
-
 def scan_lambda(
     measure: EvenMeasure,
     lambdas,
@@ -102,7 +95,7 @@ def scan_lambda(
         grid = [mpf(l) for l in lambdas]
     results = []
     for lam in grid:
-        if not _admissible(measure, lam):
+        if not tail_set(measure).contains(lam):
             results.append(LambdaVerdict(lam=lam, entire=False))
             continue
         verdict = verify_all_real(measure, lam, window, ctx, refine_tol=refine_tol)
@@ -123,8 +116,8 @@ def monotonicity_warnings(pairs) -> dict:
     pairs is a sequence of (lam, all_real) with all_real None when the
     multiplier was outside the entireness range.  Returns {index: warning
     text} for the offending entries; scan_lambda applies this to its own
-    results, and callers that distribute the grid across processes apply
-    it to the merged list so the output matches the sequential path.
+    results, and callers that run one grid point per job apply it to
+    the merged list.
     """
     order = sorted(
         (i for i, (_, flag) in enumerate(pairs) if flag is not None),
@@ -170,7 +163,7 @@ def bisect_lambda(
         raise DomainError("tol must be positive")
 
     def verdict(lam) -> bool:
-        if not _admissible(measure, lam):
+        if not tail_set(measure).contains(lam):
             raise BracketError(
                 "lambda=%s leaves the entireness range" % mpmath.nstr(lam, 10)
             )

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 
-from .measures import named_density
-from .precision import DomainError, PrecisionContext
+from .measures import EvenMeasure, named_density
+from .precision import DomainError, FieldError, PrecisionContext
 from .zeros import Rectangle, RealityVerdict, verify_all_real
 
 __all__ = [
@@ -42,27 +42,76 @@ MAX_SITES = 20
 class SiteMeasure:
     """Distribution of a single site variable.
 
-    kind "PlusMinusOne" is the two-point measure at +-1; "Phi4" carries
-    density e^{-a s^4 - b s^2}; "Phi6" carries e^{-a s^6 - b s^4 - c s^2}.
+    kind PlusMinusOne is the two-point measure at +-1 (density None); Phi4
+    carries density e^{-a s^4 - b s^2}; Phi6 carries e^{-a s^6 - b s^4 -
+    c s^2}.  The density is the measure the circle check examines.
     """
 
     kind: str
-    params: tuple = ()
+    density: EvenMeasure = None
+
+    @classmethod
+    def make(cls, kind, params=None, ctx: PrecisionContext = None) -> "SiteMeasure":
+        """The site of a table kind with exactly its parameters."""
+        spec = _SITE_KINDS.get(kind)
+        if spec is None:
+            raise FieldError("kind", "expected one of %s, got %r" % (", ".join(_SITE_KINDS), kind))
+        return spec.site(params or {}, ctx)
 
 
-PLUS_MINUS_ONE = SiteMeasure("PlusMinusOne")
+@dataclass(frozen=True)
+class _SiteKind:
+    """What this module knows about one kind of site measure."""
+
+    name: str
+    params: tuple = ()  # parameter names, in the order phi4 and phi6 take them
+    positive: tuple = ()  # the parameters that must be > 0
+    density: callable = None  # (ctx, *params) -> EvenMeasure; None: two-point
+
+    def site(self, params: dict, ctx: PrecisionContext) -> SiteMeasure:
+        """The site with exactly these params; FieldError names one at fault."""
+        wrong = sorted(set(params) ^ set(self.params))  # unknown or missing
+        if wrong:
+            raise FieldError(
+                "params.%s" % wrong[0],
+                "%s takes exactly %s" % (self.name, ", ".join(self.params) or "no parameters"),
+            )
+        for name in self.params:
+            x = mpf(params[name])
+            positive = name in self.positive
+            if not mpmath.isfinite(x) or positive and not x > 0:
+                bound = " > 0" if positive else ""
+                raise FieldError("params.%s" % name, "%s needs a finite %s%s" % (self.name, name, bound))
+        if self.density is None:
+            return SiteMeasure(self.name)
+        return SiteMeasure(self.name, self.density(ctx, *(params[n] for n in self.params)))
 
 
-def phi4(a, b) -> SiteMeasure:
-    if not a > 0:
-        raise DomainError("quartic decay needs a > 0")
-    return SiteMeasure("Phi4", (a, b))
+#: every kind of site measure, the only place that names them
+_TWO_POINT, _QUARTIC, _SEXTIC = _SITE_TABLE = (
+    _SiteKind("PlusMinusOne"),
+    _SiteKind(
+        "Phi4", ("a", "b"), positive=("a",),
+        density=lambda ctx, a, b: named_density(
+            "DBNClass", ctx, K=1, m=0, alpha=a, beta=b, a_list=()
+        ),
+    ),
+    _SiteKind(
+        "Phi6", ("a", "b", "c"), positive=("a",),
+        density=lambda ctx, a, b, c: named_density("SexticField", ctx, a=a, b=b, c=c),
+    ),
+)
+_SITE_KINDS = {spec.name: spec for spec in _SITE_TABLE}
+
+PLUS_MINUS_ONE = _TWO_POINT.site({}, None)
 
 
-def phi6(a, b, c) -> SiteMeasure:
-    if not a > 0:
-        raise DomainError("sextic decay needs a > 0")
-    return SiteMeasure("Phi6", (a, b, c))
+def phi4(a, b, ctx: PrecisionContext = None) -> SiteMeasure:
+    return _QUARTIC.site({"a": a, "b": b}, ctx)
+
+
+def phi6(a, b, c, ctx: PrecisionContext = None) -> SiteMeasure:
+    return _SEXTIC.site({"a": a, "b": b, "c": c}, ctx)
 
 
 @dataclass(frozen=True)
@@ -92,29 +141,30 @@ class SpinSystem:
         rows = tuple(tuple(float(v) for v in row) for row in couplings)
         n = len(rows)
         if n < 1 or n > MAX_SITES:
-            raise DomainError("need 1 <= n <= %d sites" % MAX_SITES)
+            raise FieldError("couplings", "need 1 <= n <= %d sites" % MAX_SITES)
         if any(len(row) != n for row in rows):
-            raise DomainError("couplings must be an n x n matrix")
+            raise FieldError("couplings", "couplings must be an n x n matrix")
         for i in range(n):
             if rows[i][i] != 0:
-                raise DomainError("couplings must have zero diagonal")
+                raise FieldError("couplings", "couplings must have zero diagonal")
             for j in range(n):
                 if rows[i][j] != rows[j][i]:
-                    raise DomainError("couplings must be symmetric")
+                    raise FieldError("couplings", "couplings must be symmetric")
                 if rows[i][j] < 0 and not search_mode:
-                    raise DomainError(
-                        "negative coupling J[%d][%d] requires search_mode" % (i, j)
+                    raise FieldError(
+                        "couplings",
+                        "negative coupling J[%d][%d] requires search_mode" % (i, j),
                     )
         if not float(beta) >= 0:
-            raise DomainError("beta must be non-negative")
+            raise FieldError("beta", "beta must be non-negative")
         if field_weights is None:
             weights = (1.0,) * n
         else:
             weights = tuple(float(w) for w in field_weights)
             if len(weights) != n:
-                raise DomainError("need one field weight per site")
+                raise FieldError("field_weights", "need one field weight per site")
             if any(w < 0 for w in weights):
-                raise DomainError("field weights must be non-negative")
+                raise FieldError("field_weights", "field weights must be non-negative")
         return cls(
             n=n,
             couplings=rows,
@@ -173,7 +223,7 @@ class CircleVerdict:
 
 
 def _polynomial_eligible(system: SpinSystem) -> bool:
-    return system.site_measure.kind == "PlusMinusOne" and all(
+    return system.site_measure.density is None and all(
         w == 1 for w in system.field_weights
     )
 
@@ -265,9 +315,9 @@ def verify_leeyang(
     the winding machinery (default window [-10, 10] x [-2, 2]).
     """
     ctx = ctx or PrecisionContext()
-    kind = system.site_measure.kind
+    site = system.site_measure
     with ctx.workdps():
-        if kind == "PlusMinusOne":
+        if site.density is None:
             tol = mpf("1e-10") if tol is None else mpf(tol)
             if _decoupled(system):
                 roots = (mpmath.mpc(0, 1),) * system.n + (
@@ -283,33 +333,20 @@ def verify_leeyang(
                 on_circle=bool(dev <= tol), max_deviation=dev,
                 route="polynomial", roots=roots,
             )
-        if kind in ("Phi4", "Phi6"):
-            if system.n != 1:
-                raise DomainError(
-                    "continuum site measures are checked one site at a time"
-                )
-            window = window or Rectangle.make(-10, 10, -2, 2)
-            measure = _continuum_measure(system.site_measure, ctx)
-            verdict = verify_all_real(measure, 0, window, ctx)
-            if verdict.all_real:
-                dev = mpf(0)
-            else:
-                dev = abs(mpmath.im(verdict.worst_offender))
-            return CircleVerdict(
-                on_circle=verdict.all_real, max_deviation=dev,
-                route="quadrature", window_verdict=verdict,
+        if system.n != 1:
+            raise DomainError(
+                "continuum site measures are checked one site at a time"
             )
-        raise DomainError("unknown site measure kind %r" % kind)
-
-
-def _continuum_measure(site: SiteMeasure, ctx: PrecisionContext):
-    if site.kind == "Phi4":
-        a, b = site.params
-        return named_density(
-            "DBNClass", ctx, K=1, m=0, alpha=a, beta=b, a_list=()
+        window = window or Rectangle.make(-10, 10, -2, 2)
+        verdict = verify_all_real(site.density, 0, window, ctx)
+        if verdict.all_real:
+            dev = mpf(0)
+        else:
+            dev = abs(mpmath.im(verdict.worst_offender))
+        return CircleVerdict(
+            on_circle=verdict.all_real, max_deviation=dev,
+            route="quadrature", window_verdict=verdict,
         )
-    a, b, c = site.params
-    return named_density("SexticField", ctx, a=a, b=b, c=c)
 
 
 def search_sextic_violation(

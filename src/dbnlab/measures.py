@@ -11,11 +11,12 @@ which is what the TailSet records.
 Everything that depends on the kind of a measure sits in one table, _KINDS,
 with one _Kind entry per kind: SymmetricAtoms, GaussianConvolution and each
 named density.  An entry holds the parameter names and shapes that
-named_density accepts, the constraint on their values, the tail set, the
-log-envelope g with g' and t_min (f(t) <= exp(-g(t)) for t >= t_min), an
-optional closed form for H, H' and -H'', and whether H is real on the real
-axis.  A density is f = exp(-g) unless its entry gives f itself, as Phi and
-the Gaussian convolution do.  Kinds with a closed form are evaluated from
+make_measure accepts, how a kind built from atoms is made from them, the
+constraint on the values, the tail set, the log-envelope g with g' and
+t_min (f(t) <= exp(-g(t)) for t >= t_min), an optional closed form for H,
+H' and -H'', and whether H is real on the real axis.  A density is
+f = exp(-g) unless its entry gives f itself, as Phi and the Gaussian
+convolution do.  Kinds with a closed form are evaluated from
 it; the others go through the adaptive quadrature in numerics.  A
 MultipliedMeasure is not a kind: it wraps a base measure and shifts lambda.
 
@@ -36,6 +37,7 @@ from . import numerics
 from .precision import (
     DbnlabError,
     EntirenessError,
+    FieldError,
     PrecisionContext,
     RangeError,
 )
@@ -46,6 +48,7 @@ __all__ = [
     "EvenMeasure",
     "DecayDescriptor",
     "symmetric_atoms",
+    "make_measure",
     "named_density",
     "tail_set",
     "apply_gaussian_multiplier",
@@ -112,7 +115,7 @@ class EvenMeasure:
             return
         name = self.density_kind or self.kind
         spec = _KINDS.get(name)
-        if spec is None or spec.named != (self.kind == "NamedDensity"):
+        if spec is None or (spec.from_atoms is None) != (self.kind == "NamedDensity"):
             raise ValueError("unknown measure kind %r" % (name,))
         if not spec.valid(_params(self)):
             raise ValueError("%s requires %s" % (name, spec.requires))
@@ -160,42 +163,54 @@ def symmetric_atoms(pairs, ctx: PrecisionContext = None) -> EvenMeasure:
     Position 0 entries are plain origin atoms; positive positions denote the
     symmetric +-t pair with the given total weight.
     """
+    return make_measure("SymmetricAtoms", atoms=pairs, ctx=ctx)
+
+
+def make_measure(
+    kind: str, params=None, atoms=None, ctx: PrecisionContext = None
+) -> EvenMeasure:
+    """The measure of a table kind with exactly its params (README lists them).
+
+    atoms, (position, total weight) pairs, go exactly with the kinds built
+    from atoms.  Raises FieldError (field "atoms" or "params") for atoms
+    against the kind and for a missing, unknown or wrongly shaped parameter
+    (number, integer or list of numbers), and ValueError for an unknown kind
+    or values that break the kind's constraint.
+    """
+    spec = _KINDS.get(kind)
+    if spec is None:
+        raise ValueError("unknown measure kind %r" % (kind,))
+    if (atoms is None) != (spec.from_atoms is None):
+        verb = "takes no" if spec.from_atoms is None else "needs"
+        raise FieldError("atoms", "%s %s atoms" % (kind, verb))
+    params = params or {}
+    shapes = dict(spec.params)
+    wrong = sorted(set(params) ^ set(shapes))
+    if wrong:
+        raise FieldError(
+            "params",
+            "%s: %s parameter params.%s (takes: %s)"
+            % (kind, "unknown" if wrong[0] in params else "missing", wrong[0],
+               ", ".join(shapes) or "none"),
+        )
     ctx = ctx or PrecisionContext()
     with ctx.workdps():
-        atoms = tuple(sorted((mpf(t), mpf(w)) for t, w in pairs))
-    return EvenMeasure(kind="SymmetricAtoms", atoms=atoms)
+        frozen = {name: _freeze(kind, name, shapes[name], params[name]) for name in sorted(shapes)}
+        if spec.from_atoms is not None:
+            base = EvenMeasure(
+                kind="SymmetricAtoms", atoms=tuple(sorted((mpf(t), mpf(w)) for t, w in atoms))
+            )
+            return spec.from_atoms(base, ctx=ctx, **frozen)
+        return EvenMeasure(kind="NamedDensity", density_kind=kind, params=tuple(frozen.items()))
 
 
 def named_density(density_kind: str, ctx: PrecisionContext = None, **params) -> EvenMeasure:
-    """The named density kind with exactly its parameters (README lists them).
-
-    Raises ValueError for an unknown kind, a missing or unknown parameter,
-    a parameter of the wrong shape (number, integer or list of numbers), and
-    values that break the kind's constraint.
-    """
-    spec = _KINDS.get(density_kind)
-    if spec is None or not spec.named:
-        raise ValueError("unknown density kind %r" % (density_kind,))
-    shapes = dict(spec.params)
-    for name in params:
-        if name not in shapes:
-            raise ValueError(
-                "%s: unknown parameter params.%s (takes: %s)"
-                % (density_kind, name, ", ".join(shapes) or "none")
-            )
-    ctx = ctx or PrecisionContext()
-    with ctx.workdps():
-        frozen = []
-        for name in sorted(shapes):
-            if name not in params:
-                raise ValueError("%s: missing parameter params.%s" % (density_kind, name))
-            frozen.append((name, _freeze(density_kind, name, shapes[name], params[name])))
-        return EvenMeasure(
-            kind="NamedDensity", density_kind=density_kind, params=tuple(frozen)
-        )
+    """The named density kind with exactly its parameters; see make_measure."""
+    return make_measure(density_kind, params, ctx=ctx)
 
 
 _NUMBER, _INTEGER, _LIST = "a finite number", "an integer", "a list of finite numbers"
+_REAL = "a number"  # finite or not: the kind's constraint decides
 
 
 def _freeze(kind, name, shape, value):
@@ -206,11 +221,11 @@ def _freeze(kind, name, shape, value):
                 return xs
     elif not isinstance(value, (list, tuple)):
         x = mpf(value)
-        if shape == _NUMBER and mpmath.isfinite(x):
+        if shape == _REAL or shape == _NUMBER and mpmath.isfinite(x):
             return x
         if shape == _INTEGER and mpmath.isint(x):
             return int(x)
-    raise ValueError("%s: params.%s must be %s" % (kind, name, shape))
+    raise FieldError("params", "%s: params.%s must be %s" % (kind, name, shape))
 
 
 def convolve_gaussian(base: EvenMeasure, b0, ctx: PrecisionContext = None) -> EvenMeasure:
@@ -292,14 +307,12 @@ def tail_set(measure: EvenMeasure) -> TailSet:
 
 
 def _require_evaluable(measure: EvenMeasure, lam):
+    # a ClosedUpTo endpoint is evaluable: the integral still converges there
     ts = tail_set(measure)
-    if ts.contains_interior(lam):
-        return
-    if ts.shape == "ClosedUpTo" and mpf(lam) == ts.b0:
-        return  # boundary evaluation; the integral still converges there
-    raise EntirenessError(
-        "lambda=%s outside the entireness range %s" % (mpmath.nstr(mpf(lam), 10), ts)
-    )
+    if not ts.contains(lam):
+        raise EntirenessError(
+            "lambda=%s outside the entireness range %s" % (mpmath.nstr(mpf(lam), 10), ts)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +539,7 @@ class _Kind:
     """
 
     tail: callable  # p -> TailSet
-    params: tuple = ()  # (name, shape) pairs, exactly what named_density takes
+    params: tuple = ()  # (name, shape) pairs, exactly what make_measure takes
     requires: str = ""  # the constraint valid(p) checks, for error messages
     valid: callable = lambda p: True
     g: callable = None  # (p, t) -> g(t) with f(t) <= exp(-g(t)) for t >= t_min
@@ -536,12 +549,12 @@ class _Kind:
     closed: callable = None  # (p, lam, z, parts, ctx) -> (values, error estimate)
     real_on_axis: bool = True
     rate: str = None  # the parameter a normalized Gaussian multiplier shifts by -lam
-    named: bool = True  # built by named_density, not from atoms
+    from_atoms: callable = None  # (base atoms, ctx, **params) -> EvenMeasure; None for densities
 
 
 _KINDS = {
     "SymmetricAtoms": _Kind(
-        named=False,
+        from_atoms=lambda base, ctx: base,
         requires="at least one atom, finite positions >= 0, finite weights > 0 "
         "and at most one atom at the origin",
         valid=_atoms_valid,
@@ -549,7 +562,8 @@ _KINDS = {
         closed=lambda p, lam, z, parts, ctx: _atomic_parts(p["atoms"], lam, z, parts),
     ),
     "GaussianConvolution": _Kind(
-        named=False,
+        from_atoms=convolve_gaussian,
+        params=(("b0", _REAL),),
         requires="a finite b0 > 0",
         valid=lambda p: mpmath.isfinite(p["b0"]) and p["b0"] > 0,
         tail=lambda p: TailSet("OpenUpTo", p["b0"]),

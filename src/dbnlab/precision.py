@@ -109,5 +109,17 @@ class DomainError(DbnlabError):
     """A formula's domain restriction is violated (reported, not fatal)."""
 
 
+class FieldError(DomainError, ValueError):
+    """One named input of a constructor breaks its rules.
+
+    field names that input relative to what is built ("beta", "atoms",
+    "params.a"); a ValueError too, as the measure constructors promise.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class SchemaError(DbnlabError):
     """A JSON measure or system description violates the input schema."""

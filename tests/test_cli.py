@@ -211,6 +211,28 @@ class TestSystemSchema:
             parse_system_spec({"couplings": [[0]], "extra": 1})
         assert "$.extra" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "spec,path",
+        [
+            ({"couplings": [[0]], "site": {"kind": "Phi4", "params": {"a": 0, "b": 1}}},
+             "$.site.params.a"),
+            ({"couplings": [[0]], "site": {"kind": "Phi4", "params": {"a": "inf", "b": 1}}},
+             "$.site.params.a"),
+            ({"couplings": [[0]], "site": {"kind": "Phi6", "params": {"a": 1, "b": 0, "c": "nan"}}},
+             "$.site.params.c"),
+            ({"couplings": [[0]], "beta": -1}, "$.beta"),
+            ({"couplings": [[0]], "field_weights": [-1]}, "$.field_weights"),
+        ],
+    )
+    def test_violations_name_the_path(self, spec, path, tmp_path, capsys):
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(spec))
+        code, _ = run_cli(
+            "leeyang", "--system", str(p), "--digits", "20", "--target-tol", "1e-10"
+        )
+        assert code == 2
+        assert path in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # point evaluations

@@ -386,6 +386,19 @@ class TestKindTable:
                 slope = descr.g_deriv(t)
                 assert abs(slope - mpmath.diff(descr.g, t)) <= mpf("1e-20") * (1 + abs(slope))
 
+    @pytest.mark.parametrize("name", sorted(_KINDS))
+    def test_atoms_go_exactly_with_atomic_kinds(self, name):
+        # a named kind given atoms, and an atomic kind without them, are
+        # both refused at $.atoms; which kinds take atoms is table data
+        spec = dict(KIND_SPECS[name])
+        if _KINDS[name].from_atoms is None:
+            spec["atoms"] = [[1, 1]]
+        else:
+            del spec["atoms"]
+        with pytest.raises(SchemaError) as err:
+            parse_measure_spec(spec, LIGHT)
+        assert "$.atoms" in str(err.value)
+
 
 ATOM_STRATEGY = st.lists(
     st.tuples(
