@@ -38,6 +38,7 @@ from .zeros import (
 )
 
 __all__ = [
+    "CASE_IDS",
     "CaseCheck",
     "CaseReport",
     "Case3Construction",
@@ -683,23 +684,13 @@ def _case_8(ctx: PrecisionContext) -> CaseReport:
     measure = named_density("Case8", ctx)
     checks = []
 
-    def rotated_value(w):
-        return eval_H_parts(measure, 0, mpc(0, 1) * w, ctx, ("value",))[
-            "value"
-        ].value
-
-    def rotated_derivative(w):
-        return (
-            mpc(0, 1)
-            * eval_H_parts(measure, 0, mpc(0, 1) * w, ctx, ("deriv",))[
-                "deriv"
-            ].value
-        )
-
     # zeros of the exponential-variable transform H(i w): the real zeros
     # of H reappear on the imaginary w-axis, at +-i pi/2 and +-i 3pi/2
     # simple and +-i pi double
-    fn = as_analytic(rotated_value, rotated_derivative, real_on_axis=True)
+    H = transform_function(measure, 0, ctx)
+    fn = as_analytic(
+        lambda w: H(mpc(0, 1) * w), lambda w: mpc(0, 1) * H.derivative(mpc(0, 1) * w)
+    )
     with ctx.workdps():
         pi = +mp.pi
         targets = [
@@ -858,6 +849,9 @@ _CASES = {
     9: _case_9,
 }
 
+#: the case numbers, in order: what run_case and the CLI's --case accept
+CASE_IDS = tuple(sorted(_CASES))
+
 
 def run_case(case_id: int, ctx: PrecisionContext = None) -> CaseReport:
     """Build one case's measure and run its defining checks.
@@ -867,11 +861,11 @@ def run_case(case_id: int, ctx: PrecisionContext = None) -> CaseReport:
     mean the case could not be set up at all.
     """
     if case_id not in _CASES:
-        raise DomainError("case_id must lie in 1..9, got %r" % (case_id,))
+        raise DomainError("case_id must be one of %s, got %r" % (CASE_IDS, case_id))
     ctx = ctx or PrecisionContext()
     return _CASES[case_id](ctx)
 
 
 def run_all_cases(ctx: PrecisionContext = None):
     """All nine reports, in case order."""
-    return tuple(run_case(i, ctx) for i in range(1, 10))
+    return tuple(run_case(i, ctx) for i in CASE_IDS)

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import mpmath
 from mpmath import mpc, mpf
 
-from .casebook import run_case
+from .casebook import CASE_IDS, run_case
 from .estimator import (
     bisect_lambda,
     ingest_zero_table,
@@ -288,7 +288,7 @@ def parse_system_spec(spec) -> SpinSystem:
         _reject_unknown(snode, ("kind", "params"), "$.site")
         sparams = _expect_object(snode.get("params", {}), "$.site.params")
         vals = {
-            k: float(_expect_number(v, "$.site.params.%s" % k))
+            k: _expect_number(v, "$.site.params.%s" % k)
             for k, v in sparams.items()
         }
         site = _built_at("$.site", SiteMeasure.make, snode.get("kind"), vals)
@@ -606,15 +606,14 @@ def _cmd_leeyang(args, cfg, emit):
 
 
 def _cmd_casebook(args, cfg, emit):
-    if args.case == "all":
-        ids = list(range(1, 10))
-    else:
-        try:
-            ids = [int(args.case)]
-        except ValueError:
-            raise SchemaError("--case: expected 1..9 or all, got %r" % args.case)
-        if not 1 <= ids[0] <= 9:
-            raise SchemaError("--case: expected 1..9 or all, got %r" % args.case)
+    try:
+        ids = CASE_IDS if args.case == "all" else (int(args.case),)
+    except ValueError:
+        ids = ()
+    if not ids or ids[0] not in CASE_IDS:
+        raise SchemaError(
+            "--case: expected %d..%d or all, got %r" % (CASE_IDS[0], CASE_IDS[-1], args.case)
+        )
 
     jobs = [(cid, cfg.digits, cfg.target_tol) for cid in ids]
     reports = _pool_map(jobs, _case_job, cfg.workers)

@@ -7,7 +7,7 @@ Three independent instruments share this module:
                                 the flip point located by bisection
   ingest_zero_table /           tables of positive ordinates and the
   lehmer_lower_bound            close-pair lower bound computed from them
-  debruijn_strip_halfwidth      the classical strip bound sqrt(max(D^2-b, 0))
+  debruijn_strip_halfwidth      de Bruijn's strip bound sqrt(max(D^2-2b, 0))
 
 Window verdicts cannot certify global reality, only refute it; every
 estimate produced here is therefore explicitly window-relative.
@@ -281,15 +281,16 @@ def lehmer_lower_bound(
 
 
 def debruijn_strip_halfwidth(delta, lam, ctx: PrecisionContext = None) -> mpf:
-    """sqrt(max(Delta^2 - lambda, 0)): half-width of the strip that is
-    guaranteed to hold all zeros after a Gaussian multiplier."""
+    """sqrt(max(Delta^2 - 2 lambda, 0)): half-width of the strip that is
+    guaranteed to hold all zeros after a Gaussian multiplier (de Bruijn; here
+    d/dlambda H = -H'', so the model z^2 + Delta^2 flows to z^2 + Delta^2 - 2 lambda)."""
     ctx = ctx or PrecisionContext()
     with ctx.workdps():
         delta = mpf(delta)
         lam = mpf(lam)
         if delta < 0:
             raise DomainError("delta must be non-negative")
-        inner = delta * delta - lam
+        inner = delta * delta - 2 * lam
         if inner <= 0:
             return mpf(0)
         return mpmath.sqrt(inner)

@@ -16,8 +16,10 @@ constraint on the values, the tail set, the log-envelope g with g' and
 t_min (f(t) <= exp(-g(t)) for t >= t_min), an optional closed form for H,
 H' and -H'', and whether H is real on the real axis.  A density is
 f = exp(-g) unless its entry gives f itself, as Phi and the Gaussian
-convolution do.  Kinds with a closed form are evaluated from
-it; the others go through the adaptive quadrature in numerics.  A
+convolution do.  A transform is compiled once per (measure, lambda): the
+closed-form factory of the kind does all the work that does not depend on z
+and returns an evaluator of z, which a TransformFunction keeps for all its
+points; kinds without one go through the adaptive quadrature in numerics.  A
 MultipliedMeasure is not a kind: it wraps a base measure and shifts lambda.
 
 Atom convention: an entry (t, w) with t > 0 is the symmetric pair carrying
@@ -391,65 +393,53 @@ def _dbn_g_deriv(p, t):
 
 
 # ---------------------------------------------------------------------------
-# Case-8 discrete expansion (Poisson-difference reweighted by (1+k^2)/2)
+# closed forms: each factory (p, lam, ctx) returns evaluate(z, parts) ->
+# (values by part, absolute error estimate)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _case8_atoms(dps: int, tol_digits: int, growth_ceil: int = 0) -> tuple:
-    """Atoms of the (1+x^2)/2-weighted difference of two Poisson(1/2)s.
+def _cos_sums(origin, sites, lattice, z, parts):
+    """origin + sum W cos(tz), -sum W t sin(tz) and sum W t^2 cos(tz) over
+    sites (t, W, W t, W t^2), t > 0; the sites of a lattice are t = 1, 2, 3, ...
+    and are summed from powers of one e^{iz}.  The error estimate is the
+    rounding of sum |W| e^{|Im z| t}."""
+    growth = abs(z.imag)
+    want_value, want_deriv, want_m2 = ("value" in parts, "deriv" in parts, "moment2" in parts)
+    cos = sin = cos2 = mpc(0)
+    size = abs(origin)
+    if lattice:
+        q, eg = mpmath.exp(mpc(-z.imag, z.real)), mpmath.exp(growth)
+        q_inv, E, E_inv, amp = 1 / q, mpc(1), mpc(1), mpf(1)
+    for t, W, Wt, Wt2 in sites:
+        if lattice:  # E = e^{itz}: 2 cos(tz) = E + 1/E, 2i sin(tz) = E - 1/E
+            E, E_inv, amp = E * q, E_inv * q_inv, amp * eg
+            C, S = E + E_inv, E - E_inv
+        else:
+            amp = mpmath.exp(growth * t)
+            C = 2 * mpmath.cos(t * z) if want_value or want_m2 else 0
+            S = mpc(0, 2) * mpmath.sin(t * z) if want_deriv else 0
+        size += abs(W) * amp
+        if want_value:
+            cos += W * C
+        if want_m2:
+            cos2 += Wt2 * C
+        if want_deriv:
+            sin += Wt * S
+    out = {}
+    if want_value:
+        out["value"] = cos / 2 + origin
+    if want_deriv:
+        out["deriv"] = mpc(-sin.imag, sin.real) / 2  # i/2 times the sum of 2i sin
+    if want_m2:
+        out["moment2"] = cos2 / 2
+    return out, size * mpf(10) ** (4 - mp.dps)
 
-    P(W = k) = e^{-1} I_k(1) (Skellam with both rates 1/2); the x^2 weighting
-    makes the total mass exactly 1, so no normalization is applied.
 
-    growth_ceil bounds |Im z| for the intended evaluations: truncation keeps
-    every atom whose weight times e^{growth_ceil * k} is above tolerance, so
-    off-axis amplification of the dropped tail stays below budget.  The
-    factorial decay of I_k(1) beats any exponential, so this terminates for
-    any growth bound.
-    """
-    with mp.workdps(dps + 10):
-        tol = mpf(10) ** (-(tol_digits + 5))
-        pairs = []
-        e1 = mpmath.exp(-1)
-        w0 = e1 * mpmath.besseli(0, 1) / 2
-        pairs.append((mpf(0), w0))
-        k = 1
-        while True:
-            w = (1 + k * k) * e1 * mpmath.besseli(k, 1)
-            if k > 3 and w * mpmath.exp(growth_ceil * k) < tol:
-                break
-            pairs.append((mpf(k), w))
-            k += 1
-            if k > 2000:
-                raise RangeError("case8 atom expansion failed to terminate")
-        return tuple(pairs)
-
-
-# ---------------------------------------------------------------------------
-# closed forms: each returns (values by part, absolute error estimate)
-# ---------------------------------------------------------------------------
-
-
-def _atomic_parts(atoms, lam, z, parts):
-    growth = abs(mpmath.im(z))
-    out = {p: mpc(0) for p in parts}
-    size = mpf(0)
-    for t, w in atoms:
-        wl = w * mpmath.exp(lam * t * t)
-        size += abs(wl) * mpmath.exp(growth * t)
-        if t == 0:
-            if "value" in out:
-                out["value"] += wl
-            continue
-        if "value" in out:
-            out["value"] += wl * mpmath.cos(z * t)
-        if "deriv" in out:
-            out["deriv"] += -wl * t * mpmath.sin(z * t)
-        if "moment2" in out:
-            out["moment2"] += wl * t * t * mpmath.cos(z * t)
-    err = size * mpf(10) ** (4 - mp.dps)
-    return out, err
+def _atom_sum(atoms):
+    """Evaluator of the transform of the atoms (t, W) at lam = 0."""
+    origin = sum((W for t, W in atoms if t == 0), mpf(0))
+    sites = sorted((t, W, W * t, W * t * t) for t, W in atoms if t != 0)
+    return lambda z, parts: _cos_sums(origin, sites, False, z, parts)
 
 
 def _closed_form_err(vals):
@@ -474,44 +464,85 @@ def _gaussian_shape_parts(c, k, S, z, parts):
     return out, _closed_form_err(out)
 
 
-def _gaussian_closed(p, lam, z, parts, ctx):
+def _gaussian_closed(p, lam, ctx):
     c = p["b0"] - lam
-    return _gaussian_shape_parts(c, mpmath.sqrt(mp.pi / c), (1, 0, 0), z, parts)
+    k = mpmath.sqrt(mp.pi / c)
+    return lambda z, parts: _gaussian_shape_parts(c, k, (1, 0, 0), z, parts)
 
 
-def _case6_closed(p, lam, z, parts, ctx):
+def _case6_closed(p, lam, ctx):
     # rho = (1 + x) e^{-x^2}, so S(z) = 1 + iz/(2 alpha) with alpha = 1 - lam
     alpha = 1 - lam
-    S = (1 + mpc(0, 1) * z / (2 * alpha), mpc(0, 1) / (2 * alpha), 0)
-    return _gaussian_shape_parts(alpha, mpmath.sqrt(mp.pi / alpha), S, z, parts)
+    k, s1 = mpmath.sqrt(mp.pi / alpha), mpc(0, 1) / (2 * alpha)
+    return lambda z, parts: _gaussian_shape_parts(alpha, k, (1 + s1 * z, s1, 0), z, parts)
 
 
-def _conv_closed(p, lam, z, parts, ctx):
+def _conv_closed(p, lam, ctx):
+    # each smeared atom at +-t contributes w e^{b0 t^2 (b0/c - 1)} cos(b0 t z/c)
+    # to S: an atomic transform at positions b0 t/c
     b0 = p["b0"]
     c = b0 - lam
-    order = 2 if "moment2" in parts else 1 if "deriv" in parts else 0
-    S = [mpc(0)] * (order + 1)
-    for t, w in p["atoms"]:
-        if t == 0:
-            S[0] += w
-            continue
-        gam = b0 * t / c
-        beta = mpmath.exp(b0 * t * t * (b0 / c - 1))
-        cos = mpmath.cos(gam * z)
-        S[0] += w * beta * cos
-        if order >= 1:
-            S[1] += -w * beta * gam * mpmath.sin(gam * z)
-        if order >= 2:
-            S[2] += -w * beta * gam * gam * cos
-    return _gaussian_shape_parts(c, mpmath.sqrt(b0 / c), S, z, parts)
+    S = _atom_sum([(b0 * t / c, w * mpmath.exp(b0 * t * t * (b0 / c - 1))) for t, w in p["atoms"]])
+    k = mpmath.sqrt(b0 / c)
+
+    def evaluate(z, parts):
+        order = 2 if "moment2" in parts else 1 if "deriv" in parts else 0
+        s, _ = S(z, ("value", "deriv", "moment2")[: order + 1])
+        S2 = (s["value"], s.get("deriv"), -s.get("moment2", 0))
+        return _gaussian_shape_parts(c, k, S2, z, parts)
+
+    return evaluate
 
 
-def _case8_closed(p, lam, z, parts, ctx):
-    if lam != 0:
-        growth_ceil = int(mpmath.ceil(abs(mpmath.im(z))))
-        atoms = _case8_atoms(mp.dps, ctx.tol_digits, growth_ceil)
-        return _atomic_parts(atoms, lam, z, parts)
-    # E[e^{izX}] = (1/2) c (1+c) e^{c-1} with c = cos z
+@lru_cache(maxsize=4096)
+def _case8_weight(k: int, dps: int) -> mpf:
+    """Mass at +-k (k = 0: at the origin) of the (1+x^2)/2-weighted difference
+    X of two Poisson(1/2)s: P(X = k) = e^{-1} I_k(1), and the weighting keeps
+    the total mass exactly 1."""
+    with mp.workdps(dps + 10):
+        return (1 + k * k) * mpmath.exp(-1) * mpmath.besseli(k, 1) / (2 if k == 0 else 1)
+
+
+def _case8_closed(p, lam, ctx):
+    if lam == 0:
+        return _case8_exact
+    # lam < 0 (the tail set is ClosedUpTo 0): the atoms weighted by e^{lam k^2},
+    # as (k, W_k, k W_k, k^2 W_k), grown as far as the points evaluated need
+    dps, tol = mp.dps, mpf(10) ** (-(ctx.tol_digits + 5))
+    origin = _case8_weight(0, dps)
+    sites = []
+
+    def weight(k):
+        while len(sites) < k:
+            j = len(sites) + 1
+            if j > 2000:
+                raise RangeError("case8 atom expansion failed to terminate")
+            W = _case8_weight(j, dps) * mpmath.exp(lam * j * j)
+            sites.append((j, W, j * W, j * j * W))
+        return sites[k - 1][1]
+
+    def evaluate(z, parts):
+        # keep every atom before the first k > 3 whose term W_k e^{|Im z| k}
+        # is below tol, and bound what is dropped there: with m the highest
+        # power of k the parts carry, the terms k^m W_k e^{|Im z| k} shrink
+        # past k by at most the ratio r, because I_{k+1}(1) <= I_k(1)/(2(k+1))
+        # and every factor of r falls with k when lam <= 0.  r < 1 at the cut:
+        # r >= 1 there would make W_k e^{|Im z| k} >= 4 (as I_k(1) >= 2^-k/k!)
+        m = 2 if "moment2" in parts else 1 if "deriv" in parts else 0
+        eg = mpmath.exp(abs(z.imag))
+        amp, k = eg, 1
+        while k <= 3 or weight(k) * amp >= tol:
+            amp, k = amp * eg, k + 1
+        r = ((1 + (k + 1) ** 2) * eg * mpmath.exp(lam * (2 * k + 1)) * mpf(k + 1) ** (m - 1)
+             / (2 * (1 + k * k) * mpf(k) ** m))
+        vals, err = _cos_sums(origin, sites[: k - 1], True, z, parts)
+        return vals, err + mpf(k) ** m * weight(k) * amp / (1 - r)
+
+    return evaluate
+
+
+def _case8_exact(z, parts):
+    # at lam = 0, E[e^{izX}] = (1/2) c (1+c) e^{c-1} with c = cos z
     c = mpmath.cos(z)
     s = mpmath.sin(z)
     E = mpmath.exp(c - 1)
@@ -546,7 +577,9 @@ class _Kind:
     g_deriv: callable = None  # (p, t) -> g'(t)
     t_min: callable = lambda p: 0.25
     density: callable = None  # (p, t, dps, tol_digits) -> f(t), where f != exp(-g)
-    closed: callable = None  # (p, lam, z, parts, ctx) -> (values, error estimate)
+    # (p, lam, ctx) -> evaluate(z, parts) -> (values, error estimate), built
+    # once per (measure, lam) with all the work that does not depend on z
+    closed: callable = None
     real_on_axis: bool = True
     rate: str = None  # the parameter a normalized Gaussian multiplier shifts by -lam
     from_atoms: callable = None  # (base atoms, ctx, **params) -> EvenMeasure; None for densities
@@ -559,7 +592,8 @@ _KINDS = {
         "and at most one atom at the origin",
         valid=_atoms_valid,
         tail=lambda p: TailSet("AllReals"),
-        closed=lambda p, lam, z, parts, ctx: _atomic_parts(p["atoms"], lam, z, parts),
+        closed=lambda p, lam, ctx: _atom_sum([(t, w * mpmath.exp(lam * t * t))
+                                              for t, w in p["atoms"]]),
     ),
     "GaussianConvolution": _Kind(
         from_atoms=convolve_gaussian,
@@ -680,41 +714,45 @@ _KINDS = {
 # ---------------------------------------------------------------------------
 
 
+def _compile(measure: EvenMeasure, lam, ctx: PrecisionContext):
+    """evaluate(z, parts, **kw) -> {part: TransformEval} of H_{measure,lam}, with
+    the entireness check, multiplied measures and the kind's factory done once."""
+    _require_evaluable(measure, lam)
+    if measure.kind == "MultipliedMeasure":
+        inner = _compile(measure.base, measure.lam + lam, ctx)
+        norm = measure.norm
+        return inner if norm is None else lambda z, parts, **kw: {
+            p: TransformEval(te.value / norm, te.abs_error_estimate / abs(norm), lam, z, te.n_evals)
+            for p, te in inner(z, parts, **kw).items()
+        }
+    closed = _kind_of(measure).closed
+    if closed is None:
+        return lambda z, parts, **kw: numerics.eval_H_density_parts(measure, lam, z, ctx,
+                                                                    parts=parts, **kw)
+    closed = closed(_params(measure), lam, ctx)
+
+    def evaluate(z, parts, **kw):
+        vals, err = closed(z, parts)
+        return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
+
+    return evaluate
+
+
 def eval_H_parts(
-    measure: EvenMeasure, lam, z, ctx: PrecisionContext = None, parts=("value",), **kw
+    measure: EvenMeasure, lam, z, ctx: PrecisionContext = None, parts=("value",), *,
+    compiled=None, **kw
 ) -> dict:
     """Transform H, and optionally H' and -H'', dispatched per measure kind.
 
     "deriv" is the analytic derivative int (it) e^{izt} e^{lam t^2} d rho;
-    "moment2" is int t^2 e^{izt} e^{lam t^2} d rho = -H''(z).
+    "moment2" is int t^2 e^{izt} e^{lam t^2} d rho = -H''(z).  compiled is
+    the evaluator a TransformFunction built for this measure and lam; without
+    it one is built for this call.
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps(10):
-        lam = mpf(lam)
-        z = mpc(z)
-        _require_evaluable(measure, lam)
-
-        if measure.kind == "MultipliedMeasure":
-            inner = eval_H_parts(measure.base, measure.lam + lam, z, ctx, parts, **kw)
-            if measure.norm is not None:
-                inner = {
-                    p: TransformEval(
-                        te.value / measure.norm,
-                        te.abs_error_estimate / abs(measure.norm),
-                        lam,
-                        z,
-                        te.n_evals,
-                    )
-                    for p, te in inner.items()
-                }
-            return inner
-
-        closed = _kind_of(measure).closed
-        if closed is None:
-            # density kinds without closed form: adaptive quadrature
-            return numerics.eval_H_density_parts(measure, lam, z, ctx, parts=parts, **kw)
-        vals, err = closed(_params(measure), lam, z, parts, ctx)
-        return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
+        evaluate = compiled or _compile(measure, mpf(lam), ctx)
+        return evaluate(mpc(z), parts, **kw)
 
 
 def eval_H(measure, lam, z, ctx: PrecisionContext = None, **kw) -> TransformEval:
@@ -724,8 +762,9 @@ def eval_H(measure, lam, z, ctx: PrecisionContext = None, **kw) -> TransformEval
 class TransformFunction:
     """H_{rho,lam} packaged as a complex function with analytic derivative.
 
-    The zeros module consumes this interface; value_and_derivative shares a
-    single quadrature pass for density measures.
+    The zeros module consumes this interface.  The evaluator is built once,
+    at construction; every call still enters through eval_H_parts.
+    value_and_derivative shares a single quadrature pass for density measures.
     """
 
     def __init__(self, measure: EvenMeasure, lam, ctx: PrecisionContext = None):
@@ -733,19 +772,20 @@ class TransformFunction:
         self.ctx = ctx or PrecisionContext()
         with self.ctx.workdps():
             self.lam = mpf(lam)
+        with self.ctx.workdps(10):
+            self._compiled = _compile(measure, self.lam, self.ctx)
+
+    def _parts(self, z, parts):
+        return eval_H_parts(self.measure, self.lam, z, self.ctx, parts, compiled=self._compiled)
 
     def __call__(self, z) -> mpc:
-        return eval_H_parts(self.measure, self.lam, z, self.ctx, ("value",))[
-            "value"
-        ].value
+        return self._parts(z, ("value",))["value"].value
 
     def derivative(self, z) -> mpc:
-        return eval_H_parts(self.measure, self.lam, z, self.ctx, ("deriv",))[
-            "deriv"
-        ].value
+        return self._parts(z, ("deriv",))["deriv"].value
 
     def value_and_derivative(self, z):
-        parts = eval_H_parts(self.measure, self.lam, z, self.ctx, ("value", "deriv"))
+        parts = self._parts(z, ("value", "deriv"))
         return parts["value"].value, parts["deriv"].value
 
     def real_on_axis(self) -> bool:

@@ -16,10 +16,13 @@ from mpmath import mpf
 from dbnlab.cli import (
     RunConfig,
     _case_job,
+    _load_json,
     command_surface,
     parse_measure_spec,
     parse_system_spec,
 )
+from dbnlab import cli
+from dbnlab.casebook import CASE_IDS
 from dbnlab.precision import PrecisionContext, SchemaError
 
 
@@ -210,6 +213,17 @@ class TestSystemSchema:
         with pytest.raises(SchemaError) as err:
             parse_system_spec({"couplings": [[0]], "extra": 1})
         assert "$.extra" in str(err.value)
+
+    def test_site_params_keep_working_precision(self, tmp_path):
+        # a site parameter is read at the working precision, as measure
+        # parameters are, not rounded to a binary double on the way
+        f = tmp_path / "sys.json"
+        f.write_text(json.dumps(
+            {"couplings": [[0]], "site": {"kind": "Phi6", "params": {"a": 1, "b": 0, "c": "0.1"}}}
+        ))
+        with mpmath.mp.workdps(30):
+            s = parse_system_spec(_load_json(str(f)))
+            assert abs(s.site_measure.density.param("c") - mpf("0.1")) < mpf("1e-29")
 
     @pytest.mark.parametrize(
         "spec,path",
@@ -478,6 +492,16 @@ class TestCheckCommands:
     def test_casebook_bad_case_is_usage_error(self):
         assert run_cli("casebook", "--case", "12")[0] == 2
         assert run_cli("casebook", "--case", "x")[0] == 2
+
+    def test_casebook_cases_come_from_the_casebook(self, monkeypatch):
+        # --case 10 is refused before any job runs; "all" runs exactly the
+        # casebook's cases
+        ran = []
+        monkeypatch.setattr(cli, "_pool_map", lambda jobs, fn, workers: ran.append(jobs) or [])
+        assert run_cli("casebook", "--case", "10")[0] == 2
+        assert ran == []
+        assert run_cli("casebook", "--case", "all")[0] == 0
+        assert [job[0] for job in ran[0]] == list(CASE_IDS)
 
     def test_case_job_is_plain_data(self):
         rep = _case_job((7, 20, "1e-10"))

@@ -302,7 +302,22 @@ class TestStripHalfwidth:
             assert est.debruijn_strip_halfwidth(mpf(1) / 2, mpf(1) / 4, ctx) == 0
             assert est.debruijn_strip_halfwidth(mpf(1) / 2, 0, ctx) == mpf(1) / 2
             got = est.debruijn_strip_halfwidth(0, -3, ctx)
-            assert abs(got - mpmath.sqrt(3)) < mpf("1e-25")
+            assert abs(got - mpmath.sqrt(6)) < mpf("1e-25")
+
+    def test_two_atom_zero_height(self):
+        # H = w0 + w1 e^{lam eps^2} cos(eps z) has its zeros at height
+        # acosh((w0/w1) e^{-lam eps^2})/eps, which is Delta at lam = 0
+        ctx = ctx30()
+        with ctx.workdps(0):
+            eps, ratio, lam = mpf("0.01"), mpf("1.0001"), mpf("0.9")
+
+            def height(b):
+                return mpmath.acosh(ratio * mpmath.exp(-b * eps * eps)) / eps
+
+            true = height(lam)
+            assert abs(true - mpf("0.4471")) < mpf("1e-4")
+            got = est.debruijn_strip_halfwidth(height(0), lam, ctx)
+            assert true <= got < true + mpf("1e-3")
 
     def test_negative_delta_rejected(self):
         ctx = ctx30()

@@ -25,10 +25,44 @@ from dbnlab import (
     transform_function,
 )
 from dbnlab.cli import parse_measure_spec
-from dbnlab.measures import _KINDS, _case8_atoms
+from dbnlab.measures import _KINDS, _case8_weight
 from dbnlab import SchemaError, numerics
 
 CTX = PrecisionContext()
+
+
+def case8_atoms(tol_digits, growth=0, lam=0):
+    """Case 8's atoms (k, w_k e^{lam k^2}) up to the first k > 3 whose term
+    times e^{growth k} is below 10^-(tol_digits+5), at the current precision."""
+    tol = mpf(10) ** (-(tol_digits + 5))
+    atoms, k = [], 0
+    while True:
+        w = _case8_weight(k, mp.dps) * mpmath.exp(lam * k * k)
+        if k > 3 and w * mpmath.exp(growth * k) < tol:
+            return atoms
+        atoms.append((mpf(k), w))
+        k += 1
+
+
+def reference_parts(atoms, lam, z, parts=("value", "deriv", "moment2")):
+    """The transform of atoms (t, w) as one cos and one sin per atom.
+
+    The route the compiled evaluators replaced, kept here as their reference.
+    """
+    out = {p: mpc(0) for p in parts}
+    for t, w in atoms:
+        wl = w * mpmath.exp(lam * t * t)
+        if t == 0:
+            if "value" in out:
+                out["value"] += wl
+            continue
+        if "value" in out:
+            out["value"] += wl * mpmath.cos(z * t)
+        if "deriv" in out:
+            out["deriv"] += -wl * t * mpmath.sin(z * t)
+        if "moment2" in out:
+            out["moment2"] += wl * t * t * mpmath.cos(z * t)
+    return out
 
 
 class TestTailSets:
@@ -262,7 +296,7 @@ class TestSpecialKinds:
             h0 = eval_H(m, mpf(0), mpf(0), CTX).value
             assert abs(h0 - 1) < mpf("1e-40")
             # atom expansion must reproduce the closed form
-            atoms = _case8_atoms(mp.dps, CTX.tol_digits, 0)
+            atoms = case8_atoms(CTX.tol_digits)
             assert abs(sum(w for _, w in atoms) - 1) < mpf("1e-32")
             closed = eval_H(m, mpf(0), mpf("1.2"), CTX).value
             direct = sum(
@@ -304,7 +338,7 @@ class TestSpecialKinds:
         m = named_density("Case8", CTX)
         with mp.workdps(60):
             lam = mpf("-0.3")
-            atoms = _case8_atoms(mp.dps, CTX.tol_digits, 0)
+            atoms = case8_atoms(CTX.tol_digits)
             z = mpf("0.8")
             want = sum(
                 w * mpmath.exp(lam * t * t) * (mpmath.cos(z * t) if t else 1)
@@ -443,3 +477,101 @@ def test_property_multiplier_composition_on_atoms(pairs, lam1, lam2):
         for (t1, w1), (t2, w2) in zip(two_step.atoms, one_step.atoms):
             assert t1 == t2
             assert abs(w1 - w2) < mpf("1e-42") * (1 + abs(w1))
+
+
+class TestCompiledCase8:
+    @pytest.mark.parametrize("lam", ["-0.05", "-0.25", "-1"])
+    @pytest.mark.parametrize("growth", [0, 1, 2, 3])
+    def test_error_estimate_covers_the_dropped_tail(self, growth, lam):
+        # the lattice sum stops at the first k > 3 whose weighted term is
+        # below 10^-(tol_digits+5); its estimate must cover what a sum over
+        # many more atoms adds
+        m = named_density("Case8", LIGHT)
+        lam = mpf(lam)
+        z = mpc("2.3", growth)
+        parts = ("value", "deriv", "moment2")
+        got = eval_H_parts(m, lam, z, LIGHT, parts)
+        with mp.workdps(60):
+            ref = reference_parts(case8_atoms(40, growth, lam), 0, z, parts)
+        for p in parts:
+            assert abs(got[p].value - ref[p]) <= got[p].abs_error_estimate, p
+        assert got["value"].abs_error_estimate <= LIGHT.target_abs_tol
+
+    def test_near_zero_multiplier_matches_exact_form(self):
+        # the lattice sum at lam = -1e-12 against c (1 + c) e^{c - 1} / 2,
+        # c = cos z: sum w_k (1 - e^{lam k^2}) |cos kz| <= |lam| sum w_k k^2
+        # cosh(k Im z), which is -H'' of the exact form at i |Im z|
+        m = named_density("Case8", CTX)
+        lam = mpf("-1e-12")
+        for z in (mpf("1.2"), mpc("0.3", "0.9"), mpc("2.9", "-2.5")):
+            lattice = eval_H(m, lam, z, CTX)
+            with mp.workdps(60):
+                c = mpmath.cos(z)
+                exact = c * (1 + c) * mpmath.exp(c - 1) / 2
+            spread = eval_H_parts(m, 0, mpc(0, abs(z.imag)), CTX, ("moment2",))["moment2"]
+            bound = abs(lam) * spread.value.real + spread.abs_error_estimate
+            assert abs(lattice.value - exact) <= bound + lattice.abs_error_estimate
+
+
+DIFF_Z = dict(re=st.floats(-4, 4), im=st.floats(-3, 3))
+
+
+def _assert_parts_match(got, want, slack=0):
+    for p, te in got.items():
+        assert abs(te.value - want[p]) <= te.abs_error_estimate + slack, (p, te.value, want[p])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pairs=ATOM_STRATEGY, integer=st.booleans(), lam=st.floats(-1, 1), **DIFF_Z
+)
+def test_property_compiled_atoms_match_reference(pairs, integer, lam, re, im):
+    """Value, H' and -H'' of atoms, at integer positions or not, against
+    one cos and one sin per atom evaluated with 20 more digits."""
+    if integer:
+        pairs = list({round(t): (round(t), w) for t, w in pairs}.values())
+    m = symmetric_atoms(pairs)
+    lam, z = mpf(lam), mpc(re, im)
+    fn = transform_function(m, lam, LIGHT)
+    got = fn._parts(z, ("value", "deriv", "moment2"))
+    with mp.workdps(50):
+        _assert_parts_match(got, reference_parts(m.atoms, lam, z))
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(-1.5, -1e-6), **DIFF_Z)
+def test_property_compiled_case8_matches_reference(lam, re, im):
+    """Case 8 at lam < 0 against the per-atom sum over a longer atom list."""
+    m = named_density("Case8", LIGHT)
+    lam, z = mpf(lam), mpc(re, im)
+    got = eval_H_parts(m, lam, z, LIGHT, ("value", "deriv", "moment2"))
+    with mp.workdps(60):
+        _assert_parts_match(got, reference_parts(case8_atoms(40, abs(z.imag), lam), 0, z))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pairs=ATOM_STRATEGY, b0=st.floats(0.5, 10), frac=st.floats(-1, 0.9), **DIFF_Z
+)
+def test_property_compiled_convolution_matches_sites(pairs, b0, frac, re, im):
+    """The smeared atoms against the per-site Gaussian integrals: the site
+    at t0 of mass w gives w sqrt(b0/c) e^{u^2/(4c) - b0 t0^2}, u = 2 b0 t0 + iz,
+    with H' and -H'' from u/(2c) and u^2/(4c^2) + 1/(2c)."""
+    base = symmetric_atoms(pairs)
+    if len(base.atoms) == 1 and base.atoms[0][0] == 0:
+        return  # collapses to the Gaussian kind
+    conv = convolve_gaussian(base, b0, LIGHT)
+    b0 = conv.b0
+    lam, z = b0 * mpf(frac), mpc(re, im)
+    got = eval_H_parts(conv, lam, z, LIGHT, ("value", "deriv", "moment2"))
+    with mp.workdps(50):
+        c = b0 - lam
+        want = {p: mpc(0) for p in got}
+        for t, w in base.atoms:
+            for t0, mass in ((t, w),) if t == 0 else ((t, w / 2), (-t, w / 2)):
+                u = 2 * b0 * t0 + mpc(0, 1) * z
+                site = mass * mpmath.sqrt(b0 / c) * mpmath.exp(u * u / (4 * c) - b0 * t0 * t0)
+                want["value"] += site
+                want["deriv"] += site * mpc(0, 1) * u / (2 * c)
+                want["moment2"] += site * (u * u / (4 * c * c) + 1 / (2 * c))
+        _assert_parts_match(got, want)
