@@ -398,11 +398,11 @@ def _dbn_g_deriv(p, t):
 # ---------------------------------------------------------------------------
 
 
-def _cos_sums(origin, sites, lattice, z, parts):
+def _cos_sums(origin, sites, lattice, z, parts, eps):
     """origin + sum W cos(tz), -sum W t sin(tz) and sum W t^2 cos(tz) over
     sites (t, W, W t, W t^2), t > 0; the sites of a lattice are t = 1, 2, 3, ...
     and are summed from powers of one e^{iz}.  The error estimate is the
-    rounding of sum |W| e^{|Im z| t}."""
+    rounding of sum |W| e^{|Im z| t}, eps times that sum."""
     growth = abs(z.imag)
     want_value, want_deriv, want_m2 = ("value" in parts, "deriv" in parts, "moment2" in parts)
     cos = sin = cos2 = mpc(0)
@@ -432,25 +432,34 @@ def _cos_sums(origin, sites, lattice, z, parts):
         out["deriv"] = mpc(-sin.imag, sin.real) / 2  # i/2 times the sum of 2i sin
     if want_m2:
         out["moment2"] = cos2 / 2
-    return out, size * mpf(10) ** (4 - mp.dps)
+    return out, size * eps
+
+
+def _rounding_eps():
+    """Relative rounding allowance of a closed form at the current precision;
+    a factory takes it once, at the precision its evaluations run at."""
+    return mpf(10) ** (4 - mp.dps)
 
 
 def _atom_sum(atoms):
     """Evaluator of the transform of the atoms (t, W) at lam = 0."""
     origin = sum((W for t, W in atoms if t == 0), mpf(0))
     sites = sorted((t, W, W * t, W * t * t) for t, W in atoms if t != 0)
-    return lambda z, parts: _cos_sums(origin, sites, False, z, parts)
+    eps = _rounding_eps()
+    return lambda z, parts: _cos_sums(origin, sites, False, z, parts, eps)
 
 
-def _closed_form_err(vals):
+def _closed_form_err(vals, eps):
     scale = max(abs(v) for v in vals.values())
-    return max(scale, mpf(1)) * mpf(10) ** (4 - mp.dps)
+    return max(scale, mpf(1)) * eps
 
 
-def _gaussian_shape_parts(c, k, S, z, parts):
+def _gaussian_shape_parts(c, k, S, z, parts, eps, S_err=0):
     """Parts of H(z) = k e^{-z^2/(4c)} S(z) from S = (S, S', S'').
 
     Only the derivatives of S that the requested parts use need be present.
+    S_err bounds the error of S itself; it is carried as |k e^{-z^2/(4c)}|
+    times S_err, on top of the rounding of the products here.
     """
     A = k * mpmath.exp(-z * z / (4 * c))
     out = {}
@@ -461,20 +470,23 @@ def _gaussian_shape_parts(c, k, S, z, parts):
     if "moment2" in parts:
         h2 = A * (S[2] - z / c * S[1] + (z * z / (4 * c * c) - 1 / (2 * c)) * S[0])
         out["moment2"] = -h2
-    return out, _closed_form_err(out)
+    err = _closed_form_err(out, eps)
+    if S_err:
+        err += abs(A) * S_err
+    return out, err
 
 
 def _gaussian_closed(p, lam, ctx):
     c = p["b0"] - lam
-    k = mpmath.sqrt(mp.pi / c)
-    return lambda z, parts: _gaussian_shape_parts(c, k, (1, 0, 0), z, parts)
+    k, eps = mpmath.sqrt(mp.pi / c), _rounding_eps()
+    return lambda z, parts: _gaussian_shape_parts(c, k, (1, 0, 0), z, parts, eps)
 
 
 def _case6_closed(p, lam, ctx):
     # rho = (1 + x) e^{-x^2}, so S(z) = 1 + iz/(2 alpha) with alpha = 1 - lam
     alpha = 1 - lam
-    k, s1 = mpmath.sqrt(mp.pi / alpha), mpc(0, 1) / (2 * alpha)
-    return lambda z, parts: _gaussian_shape_parts(alpha, k, (1 + s1 * z, s1, 0), z, parts)
+    k, s1, eps = mpmath.sqrt(mp.pi / alpha), mpc(0, 1) / (2 * alpha), _rounding_eps()
+    return lambda z, parts: _gaussian_shape_parts(alpha, k, (1 + s1 * z, s1, 0), z, parts, eps)
 
 
 def _conv_closed(p, lam, ctx):
@@ -483,13 +495,13 @@ def _conv_closed(p, lam, ctx):
     b0 = p["b0"]
     c = b0 - lam
     S = _atom_sum([(b0 * t / c, w * mpmath.exp(b0 * t * t * (b0 / c - 1))) for t, w in p["atoms"]])
-    k = mpmath.sqrt(b0 / c)
+    k, eps = mpmath.sqrt(b0 / c), _rounding_eps()
 
     def evaluate(z, parts):
         order = 2 if "moment2" in parts else 1 if "deriv" in parts else 0
-        s, _ = S(z, ("value", "deriv", "moment2")[: order + 1])
+        s, s_err = S(z, ("value", "deriv", "moment2")[: order + 1])
         S2 = (s["value"], s.get("deriv"), -s.get("moment2", 0))
-        return _gaussian_shape_parts(c, k, S2, z, parts)
+        return _gaussian_shape_parts(c, k, S2, z, parts, eps, s_err)
 
     return evaluate
 
@@ -505,10 +517,11 @@ def _case8_weight(k: int, dps: int) -> mpf:
 
 def _case8_closed(p, lam, ctx):
     if lam == 0:
-        return _case8_exact
+        eps = _rounding_eps()
+        return lambda z, parts: _case8_exact(z, parts, eps)
     # lam < 0 (the tail set is ClosedUpTo 0): the atoms weighted by e^{lam k^2},
     # as (k, W_k, k W_k, k^2 W_k), grown as far as the points evaluated need
-    dps, tol = mp.dps, mpf(10) ** (-(ctx.tol_digits + 5))
+    dps, tol, eps = mp.dps, mpf(10) ** (-(ctx.tol_digits + 5)), _rounding_eps()
     origin = _case8_weight(0, dps)
     sites = []
 
@@ -535,13 +548,13 @@ def _case8_closed(p, lam, ctx):
             amp, k = amp * eg, k + 1
         r = ((1 + (k + 1) ** 2) * eg * mpmath.exp(lam * (2 * k + 1)) * mpf(k + 1) ** (m - 1)
              / (2 * (1 + k * k) * mpf(k) ** m))
-        vals, err = _cos_sums(origin, sites[: k - 1], True, z, parts)
+        vals, err = _cos_sums(origin, sites[: k - 1], True, z, parts, eps)
         return vals, err + mpf(k) ** m * weight(k) * amp / (1 - r)
 
     return evaluate
 
 
-def _case8_exact(z, parts):
+def _case8_exact(z, parts, eps):
     # at lam = 0, E[e^{izX}] = (1/2) c (1+c) e^{c-1} with c = cos z
     c = mpmath.cos(z)
     s = mpmath.sin(z)
@@ -554,7 +567,7 @@ def _case8_exact(z, parts):
     if "moment2" in parts:
         h2 = -(c * (1 + 3 * c + c * c) - s * s * (4 + 5 * c + c * c)) * E / 2
         out["moment2"] = -h2
-    return out, _closed_form_err(out)
+    return out, _closed_form_err(out, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +800,11 @@ class TransformFunction:
     def value_and_derivative(self, z):
         parts = self._parts(z, ("value", "deriv"))
         return parts["value"].value, parts["deriv"].value
+
+    def value_and_error(self, z):
+        """H(z) and its absolute error estimate."""
+        te = self._parts(z, ("value",))["value"]
+        return te.value, te.abs_error_estimate
 
     def real_on_axis(self) -> bool:
         """Whether H is real-valued for real z (true for even measures)."""

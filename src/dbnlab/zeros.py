@@ -12,6 +12,15 @@ public surface:
                      interval of the real axis
   verify_all_real    RealityVerdict for a measure over a symmetric window
 
+A verdict proves "all real" when a certified lower bound on the real zeros
+meets a certified count of all zeros.  For an even transform (real on the
+axis) on a window centred at the origin both come from a quarter of the
+picture: the count from the argument change along a -> a+ib -> ib, which
+the two symmetries make even, and the lower bound from twice the sign
+changes on [0, a] whose values stand clear of their error estimates.  The
+scan stops on the first grid where the two meet.  Other transforms and
+windows use the full contour and a scan of the whole real section.
+
 Contour hygiene: a zero on or hugging the contour makes the f'/f edge
 integral non-integrable, which the adaptive quadrature reports as
 divergence; the top-level rectangle is then grown slightly and retried.
@@ -24,6 +33,7 @@ sub-rectangle counts always add up to the parent count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -56,6 +66,10 @@ WINDING_SLACK = mpf("0.25")
 MAX_GROW_TRIES = 5
 MAX_WINDING_DEPTH = 12
 MAX_LOCATE_DEPTH = 16
+#: first and largest grid of the real-axis scan over a whole interval; a
+#: scan over [0, a] alone uses half as many points, at the same spacing
+AXIS_POINTS = 129
+AXIS_MAX_POINTS = 16385
 
 
 @dataclass(frozen=True)
@@ -122,8 +136,15 @@ class Rectangle:
         dy = self.height * dy_frac
         return Rectangle(g.re_min + dx, g.re_max + dx, g.im_min + dy, g.im_max + dy)
 
+    # a sum of two mpf is 0 only when they are exact negatives; negating one
+    # first would round it to the current precision
+
     def symmetric_about_axis(self) -> bool:
-        return self.im_min == -self.im_max
+        return self.im_min + self.im_max == 0
+
+    def centered_at_origin(self) -> bool:
+        """Symmetric about both axes (grown() keeps this)."""
+        return self.re_min + self.re_max == 0 and self.symmetric_about_axis()
 
 
 @dataclass(frozen=True)
@@ -176,6 +197,10 @@ class AnalyticFunction:
 
     def value_and_derivative(self, z):
         return self._f(z), self.derivative(z)
+
+    def value_and_error(self, z):
+        """f(z) and its error estimate; a plain function comes with none (0)."""
+        return self._f(z), mpf(0)
 
     def real_on_axis(self):
         return self._real
@@ -233,19 +258,29 @@ def _edge_pass(fn, za, zb, abs_tol, n_moments, stats):
     return vals, err, n
 
 
-def _contour_pass(fn, rect: Rectangle, abs_tol, n_moments=0):
-    """One counterclockwise sweep: winding (and moments), with dip stats."""
-    corners = rect.corners()
-    perim = 2 * (rect.width + rect.height)
+def _path_pass(fn, path, perim, abs_tol, n_moments=0):
+    """Integrals of f'/f (and moments) along the polygon through path.
+
+    Each edge gets the share of abs_tol that its length has of perim.
+    """
     stats = {"min": mpf("inf"), "max": mpf(0), "argmin": None}
     totals = [mpc(0)] * (1 + n_moments)
     err_total = mpf(0)
-    for a, b in zip(corners, corners[1:] + corners[:1]):
+    for a, b in zip(path, path[1:]):
         edge_tol = abs_tol * abs(b - a) / perim
         vals, err, _ = _edge_pass(fn, a, b, edge_tol, n_moments, stats)
         for i, v in enumerate(vals):
             totals[i] += v
         err_total += err
+    return totals, err_total
+
+
+def _contour_pass(fn, rect: Rectangle, abs_tol, n_moments=0):
+    """One counterclockwise sweep: winding (and moments), with dip stats."""
+    corners = rect.corners()
+    totals, err_total = _path_pass(
+        fn, corners + corners[:1], 2 * (rect.width + rect.height), abs_tol, n_moments
+    )
     two_pi_i = 2 * mp.pi * mpc(0, 1)
     return [t / two_pi_i for t in totals], err_total
 
@@ -330,20 +365,52 @@ def _count_recursive(fn, rect: Rectangle, depth: int) -> int:
     return sum(_count_recursive(fn, sub, depth + 1) for sub in _subrects(rect, xc, yc))
 
 
+def _quarter_count(fn, rect: Rectangle):
+    """Zeros of an even f, real on the axis, in a rect centred at the origin.
+
+    f(-z) = f(z) and f(conj z) = conj f(z) carry the path a -> a+ib -> ib
+    onto the other three quarters of the contour, each with the same
+    argument change D = Im int f'/f dz, so the winding number is
+    4D/(2 pi) = 2D/pi.  f(a) and f(ib) are real, so D is a multiple of pi
+    and the count is even.  Each edge gets the tolerance per unit length
+    that _contour_pass gives it.  Returns None when 2D/pi is not within
+    WINDING_SLACK of an even integer.
+    """
+    a, b = rect.re_max, rect.im_max
+    (total,), _ = _path_pass(
+        fn, (mpc(a, 0), mpc(a, b), mpc(0, b)), 2 * (rect.width + rect.height), WINDING_SLACK
+    )
+    w = 2 * total.imag / mp.pi
+    n = 2 * int(mpmath.nint(w / 2))
+    if abs(w - n) > WINDING_SLACK:
+        return None
+    if n < 0:
+        raise WindingError("negative winding %d: function is not analytic" % n)
+    return n
+
+
+def _retry_on_dip(count, rect: Rectangle, widen):
+    """count(rect), widening rect after each contour dip; (count, rect used)."""
+    used, last = rect, None
+    for _try in range(MAX_GROW_TRIES):
+        try:
+            return count(used), used
+        except _ContourDip as dip:
+            last = dip
+            used = widen(used)
+    raise ContourError(
+        "zero pinned to the contour near %s after %d growth attempts"
+        % (mpmath.nstr(last.where, 8), MAX_GROW_TRIES)
+    )
+
+
 def _count_with_rect(f, rect: Rectangle, ctx: PrecisionContext):
     fn = as_analytic(f)
     with ctx.workdps(5):
-        used = rect
-        last = None
-        for _try in range(MAX_GROW_TRIES):
-            try:
-                return _count_recursive(fn, used, 0), used
-            except _ContourDip as dip:
-                last = dip
-                used = used.nudged(mpf("1.02"), mpf("0.005"), mpf("0.003"))
-        raise ContourError(
-            "zero pinned to the contour near %s after %d growth attempts"
-            % (mpmath.nstr(last.where, 8), MAX_GROW_TRIES)
+        return _retry_on_dip(
+            lambda r: _count_recursive(fn, r, 0),
+            rect,
+            lambda r: r.nudged(mpf("1.02"), mpf("0.005"), mpf("0.003")),
         )
 
 
@@ -491,22 +558,149 @@ def _tiny_rect_check(fn, x_lo, x_hi, im_half, ctx, loc_tol):
     return zs
 
 
+class _Grid(NamedTuple):
+    """One grid of an axis scan: Re f at the points xs, the error estimates
+    of those values, the cells i whose ends vals[i], vals[i+1] have opposite
+    nonzero signs, and the grid step."""
+
+    xs: list
+    vals: list
+    errs: list
+    crossings: list
+    cell: mpf
+
+
+def _golden_scan(fn, a, b, n, max_points):
+    """Axis grids on [a, b] of n points and up, yielded as _Grid.
+
+    Refinement grows the point count by the golden ratio rather than
+    doubling: halved strides stay commensurate with any oscillation period
+    they alias (a pure tone sampled at ~k periods per step looks like a
+    slow envelope at every dyadic refinement), while golden strides cannot
+    stay phase-locked across consecutive grids.  The scan ends when three
+    consecutive crossing counts agree or n reaches max_points; a caller may
+    stop it sooner.
+    """
+    history = []
+    while True:
+        xs = [a + (b - a) * mpf(i) / (n - 1) for i in range(n)]
+        vals, errs = [], []
+        for x in xs:
+            v, e = fn.value_and_error(mpc(x, 0))
+            vals.append(mpmath.re(v))
+            errs.append(e)
+        crossings = [
+            i
+            for i in range(n - 1)
+            if vals[i] != 0
+            and vals[i + 1] != 0
+            and mpmath.sign(vals[i]) != mpmath.sign(vals[i + 1])
+        ]
+        yield _Grid(xs, vals, errs, crossings, (b - a) / (n - 1))
+        history.append(len(crossings))
+        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
+            return
+        if n >= max_points:
+            return
+        n = int(n * mpf("1.618")) + 1
+
+
+def _zeros_on_grid(fn, grid, tol, ctx):
+    """Real zeros with multiplicity from the last grid of a scan.
+
+    Exact zeros at grid points, sign-change cells bisected to tol, and |f|
+    minima without a sign change confirmed as double zeros by a winding
+    count; see locate_real_zeros.
+    """
+    xs, vals, _, crossings, cell = grid
+    n = len(xs)
+
+    def fx(x):
+        return mpmath.re(fn(mpc(x, 0)))
+
+    scale = max(abs(v) for v in vals) + mpf(10) ** (-mp.dps)
+    found: list = []
+
+    # exact-zero grid points
+    for i, v in enumerate(vals):
+        if v == 0:
+            found.append(LocatedZero(mpc(xs[i], 0), 1, mpf(0)))
+
+    # sign-change cells -> bisection
+    for i in crossings:
+        lo, hi = xs[i], xs[i + 1]
+        flo = vals[i]
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            fm = fx(mid)
+            if fm == 0:
+                lo = hi = mid
+                break
+            if mpmath.sign(fm) == mpmath.sign(flo):
+                lo = mid
+                flo = fm
+            else:
+                hi = mid
+        root = (lo + hi) / 2
+        found.append(LocatedZero(mpc(root, 0), 1, abs(fx(root))))
+
+    # |f| minima without sign change -> possible double zeros.  The gate
+    # allows for grid-resolution distance from a quadratic minimum; the
+    # confirmation rectangle is square so its contour stays a cell away
+    # from the candidate, and classification runs on the located points,
+    # not on the box height.
+    gate = scale * min(mpf(1), mpf(64) * cell * cell)
+    axis_accept = max(mpf("1e3") * tol, mpf(10) ** (4 - mp.dps))
+    for i in range(1, n - 1):
+        av, left, right = abs(vals[i]), abs(vals[i - 1]), abs(vals[i + 1])
+        if av >= gate or av > left or av > right:
+            continue
+        if i - 1 in crossings or i in crossings:
+            continue
+        zs = _tiny_rect_check(fn, xs[i] - cell, xs[i] + cell, cell, ctx, tol)
+        if zs is None or zs.count == 0:
+            continue
+        for z in zs.zeros:
+            if abs(mpmath.im(z.location)) <= axis_accept:
+                found.append(z)
+
+    found.sort(key=lambda z: mpmath.re(z.location))
+    # de-duplicate anything the scan found twice
+    unique: list = []
+    for z in found:
+        if unique and abs(z.location - unique[-1].location) < mpf(4) * max(tol, mpf(10) ** (-mp.dps + 4)):
+            continue
+        unique.append(z)
+    # flag unresolved near-coincident pairs as clusters
+    out: list = []
+    for idx, z in enumerate(unique):
+        near = False
+        if idx > 0 and abs(z.location - unique[idx - 1].location) < 4 * cell:
+            near = True
+        if idx + 1 < len(unique) and abs(unique[idx + 1].location - z.location) < 4 * cell:
+            near = True
+        out.append(replace(z, cluster=z.cluster or near) if near else z)
+    return out
+
+
 def locate_real_zeros(
     f,
     interval,
     ctx: PrecisionContext = None,
     refine_tol=None,
-    initial_points: int = 129,
-    max_points: int = 16385,
+    initial_points: int = AXIS_POINTS,
+    max_points: int = AXIS_MAX_POINTS,
 ):
     """Real zeros of f on [a, b], with multiplicity, via sign-change scan.
 
-    Double zeros leave no sign change; they are picked up as deep local
-    minima of |f| and confirmed by a winding count over a thin rectangle
-    around the candidate.  A minimum whose nearby zeros turn out to be a
-    genuinely nonreal conjugate pair is excluded (those belong to
-    verify_all_real, not to the real-axis list).  Two simple zeros closer
-    than the scan can separate are returned as a cluster pair, not merged.
+    The crossing count is stabilized under golden-ratio grid refinement:
+    three consecutive agreeing counts are required.  Double zeros leave no
+    sign change; they are picked up as deep local minima of |f| and
+    confirmed by a winding count over a thin rectangle around the
+    candidate.  A minimum whose nearby zeros turn out to be a genuinely
+    nonreal conjugate pair is excluded (those belong to verify_all_real,
+    not to the real-axis list).  Two simple zeros closer than the scan can
+    separate are returned as a cluster pair, not merged.
     """
     ctx = ctx or PrecisionContext()
     fn = as_analytic(f)
@@ -518,100 +712,9 @@ def locate_real_zeros(
             raise DomainError("empty interval")
         tol = mpf(refine_tol) if refine_tol is not None else ctx.target_abs_tol
         tol = max(tol, mpf(10) ** (3 - mp.dps))
-
-        def fx(x):
-            v = fn(mpc(x, 0))
-            return v.real if isinstance(v, mpc) else mpf(v)
-
-        # Stabilize the crossing count under grid refinement.  Refinement
-        # grows the point count by the golden ratio rather than doubling:
-        # halved strides stay commensurate with any oscillation period they
-        # alias (a pure tone sampled at ~k periods per step looks like a
-        # slow envelope at every dyadic refinement), while golden strides
-        # cannot stay phase-locked across consecutive grids.  Three
-        # consecutive agreeing counts are required.
-        n = initial_points
-        history = []
-        while True:
-            xs = [a + (b - a) * mpf(i) / (n - 1) for i in range(n)]
-            vals = [fx(x) for x in xs]
-            crossings = []
-            for i in range(n - 1):
-                if vals[i] == 0:
-                    continue
-                if vals[i + 1] != 0 and mpmath.sign(vals[i]) != mpmath.sign(vals[i + 1]):
-                    crossings.append(i)
-            history.append(len(crossings))
-            if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-                break
-            if n >= max_points:
-                break
-            n = int(n * mpf("1.618")) + 1
-
-        scale = max(abs(v) for v in vals) + mpf(10) ** (-mp.dps)
-        found: list = []
-
-        # exact-zero grid points
-        for i, v in enumerate(vals):
-            if v == 0:
-                found.append(LocatedZero(mpc(xs[i], 0), 1, mpf(0)))
-
-        # sign-change cells -> bisection
-        for i in crossings:
-            lo, hi = xs[i], xs[i + 1]
-            flo = vals[i]
-            while hi - lo > tol:
-                mid = (lo + hi) / 2
-                fm = fx(mid)
-                if fm == 0:
-                    lo = hi = mid
-                    break
-                if mpmath.sign(fm) == mpmath.sign(flo):
-                    lo = mid
-                    flo = fm
-                else:
-                    hi = mid
-            root = (lo + hi) / 2
-            found.append(LocatedZero(mpc(root, 0), 1, abs(fx(root))))
-
-        # |f| minima without sign change -> possible double zeros.  The gate
-        # allows for grid-resolution distance from a quadratic minimum; the
-        # confirmation rectangle is square so its contour stays a cell away
-        # from the candidate, and classification runs on the located points,
-        # not on the box height.
-        cell = (b - a) / (n - 1)
-        gate = scale * min(mpf(1), mpf(64) * cell * cell)
-        axis_accept = max(mpf("1e3") * tol, mpf(10) ** (4 - mp.dps))
-        for i in range(1, n - 1):
-            av, left, right = abs(vals[i]), abs(vals[i - 1]), abs(vals[i + 1])
-            if av >= gate or av > left or av > right:
-                continue
-            if i - 1 in crossings or i in crossings:
-                continue
-            zs = _tiny_rect_check(fn, xs[i] - cell, xs[i] + cell, cell, ctx, tol)
-            if zs is None or zs.count == 0:
-                continue
-            for z in zs.zeros:
-                if abs(mpmath.im(z.location)) <= axis_accept:
-                    found.append(z)
-
-        found.sort(key=lambda z: mpmath.re(z.location))
-        # de-duplicate anything the scan found twice
-        unique: list = []
-        for z in found:
-            if unique and abs(z.location - unique[-1].location) < mpf(4) * max(tol, mpf(10) ** (-mp.dps + 4)):
-                continue
-            unique.append(z)
-        # flag unresolved near-coincident pairs as clusters
-        out: list = []
-        for idx, z in enumerate(unique):
-            near = False
-            if idx > 0 and abs(z.location - unique[idx - 1].location) < 4 * cell:
-                near = True
-            if idx + 1 < len(unique) and abs(unique[idx + 1].location - z.location) < 4 * cell:
-                near = True
-            out.append(replace(z, cluster=z.cluster or near) if near else z)
-        return out
+        for grid in _golden_scan(fn, a, b, initial_points, max_points):
+            pass
+        return _zeros_on_grid(fn, grid, tol, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -629,35 +732,60 @@ def verify_all_real(
 ) -> RealityVerdict:
     """Certify (window-relative) that every zero of H in window is real.
 
-    The winding count over the whole window is compared against the
-    real-axis count with multiplicity.  For transforms that are not
-    real-valued on the axis the real-section count comes from a thin-strip
-    winding instead of a sign scan.  On mismatch the offending zeros are
-    located by subdivision; the verdict carries the one closest to the axis
-    and the margin (certified strip half-width when all real, closest
-    offender distance otherwise).
+    A count of all zeros in the window is compared against the real-axis
+    count with multiplicity.
+
+    When H is real on the axis (so even) and the window is centred at the
+    origin, the zeros come in quadruples {z, -z, conj z, -conj z}.  The
+    count is then the winding along a quarter of the contour (see
+    _quarter_count), and the scan covers [0, a] alone.  A sign change
+    between grid values whose |H| exceeds H's error estimate proves a real
+    zero in that cell and its mirror, so twice the certified sign changes
+    is a lower bound on the real zeros.  The scan stops, and the verdict
+    is "all real", on the first grid where that bound meets the count; it
+    refines only while the bound is short.  A bound above the count is a
+    WindingError.  If the refinement ends short, the double-zero checks of
+    locate_real_zeros run on [0, a] and their count is mirrored.  A dip on
+    the quarter path grows the window about the origin; a quarter count
+    that misses an even integer falls back to the route below.
+
+    Otherwise the winding count over the whole window is compared with a
+    scan of the whole real section, or, for transforms not real-valued on
+    the axis, with a thin-strip winding.
+
+    On mismatch the offending zeros are located by subdivision; the
+    verdict carries the one closest to the axis and the margin (certified
+    strip half-width when all real, closest offender distance otherwise).
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps(5):
         if not window.symmetric_about_axis():
             raise DomainError("verification window must be symmetric about the real axis")
         fn = transform_function(measure, lam, ctx)
-        total, used = _count_with_rect(fn, window, ctx)
         tol = mpf(refine_tol) if refine_tol is not None else mpf(10) ** (
             -min(ctx.tol_digits, 20)
         )
-
-        if fn.real_on_axis():
-            reals = locate_real_zeros(
-                fn, (used.re_min, used.re_max), ctx, refine_tol=tol
+        total, used = None, window
+        if fn.real_on_axis() and window.centered_at_origin():
+            # a dip grows the window about the origin, keeping its symmetry
+            total, used = _retry_on_dip(
+                lambda r: _quarter_count(fn, r), window, lambda r: r.grown(mpf("1.02"))
             )
-            real_count = sum(
-                z.multiplicity for z in reals if abs(mpmath.im(z.location)) <= 100 * tol
-            )
+        if total is not None:
+            real_count = _half_axis_count(fn, used.re_max, total, tol, ctx)
         else:
-            strip = max(mpf("1e-6") * used.height, 1000 * tol)
-            strip_rect = Rectangle(used.re_min, used.re_max, -strip, strip)
-            real_count = count_zeros(fn, strip_rect, ctx)
+            total, used = _count_with_rect(fn, used, ctx)
+            if fn.real_on_axis():
+                reals = locate_real_zeros(
+                    fn, (used.re_min, used.re_max), ctx, refine_tol=tol
+                )
+                real_count = sum(
+                    z.multiplicity for z in reals if abs(mpmath.im(z.location)) <= 100 * tol
+                )
+            else:
+                strip = max(mpf("1e-6") * used.height, 1000 * tol)
+                strip_rect = Rectangle(used.re_min, used.re_max, -strip, strip)
+                real_count = count_zeros(fn, strip_rect, ctx)
 
         if real_count == total:
             return RealityVerdict(
@@ -689,6 +817,28 @@ def verify_all_real(
             worst_offender=worst.location,
             margin=abs(mpmath.im(worst.location)),
         )
+
+
+def _half_axis_count(fn, a, total, tol, ctx):
+    """Real zeros of an even H in (-a, a), given total zeros in the window.
+
+    H(iy) = int cosh(yt) e^{lam t^2} d rho > 0 for a positive even rho, so
+    neither the origin nor ib, where the quarter path ends, is a zero, and
+    every real zero on (0, a) has its mirror on (-a, 0).
+    """
+    for grid in _golden_scan(fn, mpf(0), a, (AXIS_POINTS + 1) // 2, (AXIS_MAX_POINTS + 1) // 2):
+        v, e = grid.vals, grid.errs
+        certain = 2 * sum(
+            1 for i in grid.crossings if abs(v[i]) > e[i] and abs(v[i + 1]) > e[i + 1]
+        )
+        if certain > total:
+            raise WindingError(
+                "%d certified real zeros exceed the winding count %d" % (certain, total)
+            )
+        if certain == total:
+            return total
+    reals = _zeros_on_grid(fn, grid, max(tol, mpf(10) ** (3 - mp.dps)), ctx)
+    return 2 * sum(z.multiplicity for z in reals if abs(mpmath.im(z.location)) <= 100 * tol)
 
 
 def _check_quadruple_symmetry(fn, offenders, ctx):

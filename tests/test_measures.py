@@ -258,6 +258,33 @@ class TestConvolution:
             got = eval_H(conv, lam, z, CTX).value
             assert abs(got - want) < mpf("1e-38")
 
+    @pytest.mark.parametrize("offset", ["0", "1e-25", "-1e-25"])
+    def test_error_estimate_covers_cancellation_at_an_axis_zero(self, offset):
+        # near b0: H = sqrt(80) e^{-8 z^2} (5/8 + (3/8) e^{790} cos 80z), so
+        # at an axis zero the atom sum S cancels ~e^{790} down to ~0 and its
+        # rounding, not |H|, sets the error; the reference is the per-site
+        # expression at 90 digits
+        ctx = PrecisionContext(20, mpf("1e-10"))
+        base = symmetric_atoms([(0, mpf("0.625")), (1, mpf("0.375"))], ctx)
+        conv = convolve_gaussian(base, 10, ctx)
+        lam = mpf("9.875")
+        with mp.workdps(90):
+            b0, c = mpf(10), 10 - lam
+            zero = mpmath.acos(-mpf("0.625") / (mpf("0.375") * mpmath.exp(b0 * (b0 / c - 1))))
+            z = mpf(mpmath.nstr(zero * c / b0, 30)) + mpf(offset)
+
+            def site(t0, w):
+                return (
+                    w
+                    * mpmath.sqrt(b0 / c)
+                    * mpmath.exp((2 * b0 * t0 + mpc(0, 1) * z) ** 2 / (4 * c) - b0 * t0 * t0)
+                )
+
+            want = site(0, mpf("0.625")) + site(1, mpf("0.1875")) + site(-1, mpf("0.1875"))
+        got = eval_H(conv, lam, z, ctx)
+        with mp.workdps(90):
+            assert abs(got.value - want) <= got.abs_error_estimate
+
     def test_zero_multiplier_factorizes(self):
         # at lam = 0 the transform is the atomic transform times the
         # Gaussian kernel transform e^{-z^2/(4 b0)}
