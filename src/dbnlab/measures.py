@@ -19,8 +19,20 @@ f = exp(-g) unless its entry gives f itself, as Phi and the Gaussian
 convolution do.  A transform is compiled once per (measure, lambda): the
 closed-form factory of the kind does all the work that does not depend on z
 and returns an evaluator of z, which a TransformFunction keeps for all its
-points; kinds without one go through the adaptive quadrature in numerics.  A
-MultipliedMeasure is not a kind: it wraps a base measure and shifts lambda.
+points.  A MultipliedMeasure is not a kind: it wraps a base measure and
+shifts lambda.
+
+A kind without a closed form whose density is even and analytic on a strip
+about the real axis (the table's analytic_strip) takes a transform plan:
+trapezoid nodes t_k = k h on [0, T], pre-weighted by h e^{lam t^2} f(t), one
+plan per (measure, lambda, box |Re z| <= X, |Im z| <= Y, precision,
+tolerance), kept in a small module cache that one-off eval_H calls share.
+H, H' and -H'' are cosine lattice sums in powers of one e^{izh}.  The error
+estimate of a point is the step-halving difference |T_h - T_2h| (at the
+point and at the box corner, read from the same sum), the rounding of the
+sum and the tail past T; a point whose estimate exceeds the tolerance
+refines its plan, and past a node cap is refused with QuadratureError.  AbsExpGaussian, whose
+e^{-a|t|} has a kink at 0, keeps the adaptive quadrature of numerics.
 
 Atom convention: an entry (t, w) with t > 0 is the symmetric pair carrying
 total weight w, split w/2 at each of +-t; an entry (0, w) is a plain atom at
@@ -41,6 +53,7 @@ from .precision import (
     EntirenessError,
     FieldError,
     PrecisionContext,
+    QuadratureError,
     RangeError,
 )
 from .numerics import TransformEval
@@ -398,26 +411,19 @@ def _dbn_g_deriv(p, t):
 # ---------------------------------------------------------------------------
 
 
-def _cos_sums(origin, sites, lattice, z, parts, eps):
+def _cos_sums(origin, sites, z, parts, eps):
     """origin + sum W cos(tz), -sum W t sin(tz) and sum W t^2 cos(tz) over
-    sites (t, W, W t, W t^2), t > 0; the sites of a lattice are t = 1, 2, 3, ...
-    and are summed from powers of one e^{iz}.  The error estimate is the
-    rounding of sum |W| e^{|Im z| t}, eps times that sum."""
+    sites (t, W, W t, W t^2), t > 0, with one mpmath cos and sin per site.
+    The error estimate is the rounding of sum |W| e^{|Im z| t}, eps times
+    that sum."""
     growth = abs(z.imag)
     want_value, want_deriv, want_m2 = ("value" in parts, "deriv" in parts, "moment2" in parts)
     cos = sin = cos2 = mpc(0)
     size = abs(origin)
-    if lattice:
-        q, eg = mpmath.exp(mpc(-z.imag, z.real)), mpmath.exp(growth)
-        q_inv, E, E_inv, amp = 1 / q, mpc(1), mpc(1), mpf(1)
     for t, W, Wt, Wt2 in sites:
-        if lattice:  # E = e^{itz}: 2 cos(tz) = E + 1/E, 2i sin(tz) = E - 1/E
-            E, E_inv, amp = E * q, E_inv * q_inv, amp * eg
-            C, S = E + E_inv, E - E_inv
-        else:
-            amp = mpmath.exp(growth * t)
-            C = 2 * mpmath.cos(t * z) if want_value or want_m2 else 0
-            S = mpc(0, 2) * mpmath.sin(t * z) if want_deriv else 0
+        amp = mpmath.exp(growth * t)
+        C = 2 * mpmath.cos(t * z) if want_value or want_m2 else 0
+        S = mpc(0, 2) * mpmath.sin(t * z) if want_deriv else 0
         size += abs(W) * amp
         if want_value:
             cos += W * C
@@ -435,6 +441,57 @@ def _cos_sums(origin, sites, lattice, z, parts, eps):
     return out, size * eps
 
 
+def _lattice_sums(origin, sites, z, parts, eps, halving=False):
+    """The sums of _cos_sums over the lattice k = 1, 2, 3, ..., cos(kz) and
+    sin(kz) from powers of one e^{iz}.  Site k is (t_k, W_k, W_k t_k,
+    W_k t_k^2): the moments carry the site's own position t_k, which a
+    trapezoid plan scales by its step (t_k = k h, evaluated at z h).
+
+    Returns the parts, with halving the same parts with the even k and the
+    origin taken negative (odd-node sum minus even-node sum minus origin: a
+    plan's step-halving difference) and otherwise None, and the rounding
+    estimate eps sum |W_k| e^{|Im z| k}.
+    """
+    want_value, want_deriv, want_m2 = ("value" in parts, "deriv" in parts, "moment2" in parts)
+    q, eg = mpmath.exp(mpc(-z.imag, z.real)), mpmath.exp(abs(z.imag))
+    q_inv, E, E_inv, amp = 1 / q, mpc(1), mpc(1), mpf(1)
+    zero = mpc(0)
+    cos, sin, cos2 = [zero, zero], [zero, zero], [zero, zero]  # [even k, odd k]
+    size = origin
+    odd = 0
+    for t, W, Wt, Wt2 in sites:
+        # E = e^{ikz}: 2 cos(kz) = E + 1/E, 2i sin(kz) = E - 1/E
+        E, E_inv, amp, odd = E * q, E_inv * q_inv, amp * eg, odd ^ 1
+        size += W * amp  # the weights of a positive measure are positive
+        if want_value or want_m2:
+            C = E + E_inv
+            if want_value:
+                cos[odd] += W * C
+            if want_m2:
+                cos2[odd] += Wt2 * C
+        if want_deriv:
+            sin[odd] += Wt * (E - E_inv)
+    alt = None
+    if halving:
+        alt = _lattice_parts([-cos[0], cos[1]], [-sin[0], sin[1]], [-cos2[0], cos2[1]], -origin,
+                             parts)
+    return _lattice_parts(cos, sin, cos2, origin, parts), alt, size * eps
+
+
+def _lattice_parts(cos, sin, cos2, origin, parts):
+    """The parts from the [even k, odd k] sums of W 2cos(kz), W t 2i sin(kz)
+    and W t^2 2cos(kz)."""
+    out = {}
+    if "value" in parts:
+        out["value"] = (cos[0] + cos[1]) / 2 + origin
+    if "deriv" in parts:
+        both = sin[0] + sin[1]
+        out["deriv"] = mpc(-both.imag, both.real) / 2  # i/2 times the sum of 2i sin
+    if "moment2" in parts:
+        out["moment2"] = (cos2[0] + cos2[1]) / 2
+    return out
+
+
 def _rounding_eps():
     """Relative rounding allowance of a closed form at the current precision;
     a factory takes it once, at the precision its evaluations run at."""
@@ -446,7 +503,7 @@ def _atom_sum(atoms):
     origin = sum((W for t, W in atoms if t == 0), mpf(0))
     sites = sorted((t, W, W * t, W * t * t) for t, W in atoms if t != 0)
     eps = _rounding_eps()
-    return lambda z, parts: _cos_sums(origin, sites, False, z, parts, eps)
+    return lambda z, parts: _cos_sums(origin, sites, z, parts, eps)
 
 
 def _closed_form_err(vals, eps):
@@ -548,7 +605,7 @@ def _case8_closed(p, lam, ctx):
             amp, k = amp * eg, k + 1
         r = ((1 + (k + 1) ** 2) * eg * mpmath.exp(lam * (2 * k + 1)) * mpf(k + 1) ** (m - 1)
              / (2 * (1 + k * k) * mpf(k) ** m))
-        vals, err = _cos_sums(origin, sites[: k - 1], True, z, parts, eps)
+        vals, _, err = _lattice_sums(origin, sites[: k - 1], z, parts, eps)
         return vals, err + mpf(k) ** m * weight(k) * amp / (1 - r)
 
     return evaluate
@@ -593,6 +650,10 @@ class _Kind:
     # (p, lam, ctx) -> evaluate(z, parts) -> (values, error estimate), built
     # once per (measure, lam) with all the work that does not depend on z
     closed: callable = None
+    # f is even and analytic on a strip about the real axis, so the
+    # trapezoid rule converges exponentially: kinds without a closed form
+    # take a plan
+    analytic_strip: bool = False
     real_on_axis: bool = True
     rate: str = None  # the parameter a normalized Gaussian multiplier shifts by -lam
     from_atoms: callable = None  # (base atoms, ctx, **params) -> EvenMeasure; None for densities
@@ -619,6 +680,7 @@ _KINDS = {
         t_min=lambda p: float(max(tj for tj, _ in p["atoms"])) + 0.25,
         density=_conv_density,
         closed=_conv_closed,
+        analytic_strip=True,
     ),
     "RiemannPhi": _Kind(
         tail=lambda p: TailSet("AllReals"),
@@ -627,6 +689,7 @@ _KINDS = {
         g_deriv=lambda p, u: 2 * mp.pi * mpmath.exp(2 * u) - mpf(9) / 2,
         t_min=lambda p: 0.5,
         density=lambda p, t, dps, tol_digits: numerics._phi_raw(t, dps, tol_digits),
+        analytic_strip=True,
     ),
     # unnormalized by convention: the family e^{-b0 t^2} is closed under
     # Gaussian multipliers with no prefactor bookkeeping, and scalar
@@ -640,6 +703,7 @@ _KINDS = {
         g_deriv=lambda p, t: 2 * p["b0"] * t,
         closed=_gaussian_closed,
         rate="b0",
+        analytic_strip=True,
     ),
     "ExpPower": _Kind(
         params=(("q", _INTEGER),),
@@ -648,6 +712,7 @@ _KINDS = {
         tail=lambda p: TailSet("AllReals"),
         g=lambda p, t: t ** (2 * p["q"]),
         g_deriv=lambda p, t: 2 * p["q"] * t ** (2 * p["q"] - 1),
+        analytic_strip=True,
     ),
     "CoshExp": _Kind(
         params=(("a", _NUMBER),),
@@ -656,6 +721,7 @@ _KINDS = {
         tail=lambda p: TailSet("AllReals"),
         g=lambda p, t: p["a"] * mpmath.cosh(t),
         g_deriv=lambda p, t: p["a"] * mpmath.sinh(t),
+        analytic_strip=True,
     ),
     # K t^{2m} e^{-alpha t^4 - beta t^2} prod_j (1 + t^2/a_j^2) e^{-t^2/a_j^2}
     "DBNClass": _Kind(
@@ -671,6 +737,7 @@ _KINDS = {
         g=_dbn_g,
         g_deriv=_dbn_g_deriv,
         t_min=lambda p: 1.0 if p["m"] else 0.25,
+        analytic_strip=True,
     ),
     "PolyaQuartic": _Kind(
         params=(("a", _NUMBER), ("b", _NUMBER), ("c", _NUMBER), ("q", _INTEGER)),
@@ -682,6 +749,7 @@ _KINDS = {
         g_deriv=lambda p, t: 4 * p["a"] * p["q"] * t ** (4 * p["q"] - 1)
         - 2 * p["b"] * p["q"] * t ** (2 * p["q"] - 1)
         - 2 * p["c"] * t,
+        analytic_strip=True,
     ),
     "SexticField": _Kind(
         params=(("a", _NUMBER), ("b", _NUMBER), ("c", _NUMBER)),
@@ -690,6 +758,7 @@ _KINDS = {
         tail=lambda p: TailSet("AllReals"),
         g=lambda p, t: p["a"] * t**6 + p["b"] * t**4 + p["c"] * t * t,
         g_deriv=lambda p, t: 6 * p["a"] * t**5 + 4 * p["b"] * t**3 + 2 * p["c"] * t,
+        analytic_strip=True,
     ),
     # At b equal to the Gaussian rate lam the remaining factor (e^{-a|x|} or
     # (1+x^2)^{-theta} with theta > 1/2) is still integrable, so the endpoint
@@ -709,6 +778,7 @@ _KINDS = {
         tail=lambda p: TailSet("ClosedUpTo", p["lam"]),
         g=lambda p, t: p["theta"] * mpmath.log(1 + t * t) + p["lam"] * t * t,
         g_deriv=lambda p, t: 2 * p["theta"] * t / (1 + t * t) + 2 * p["lam"] * t,
+        analytic_strip=True,
     ),
     "Case6": _Kind(
         tail=lambda p: TailSet("OpenUpTo", mpf(1)),
@@ -723,28 +793,151 @@ _KINDS = {
 
 
 # ---------------------------------------------------------------------------
+# transform plans: the trapezoid route of densities analytic in a strip
+# ---------------------------------------------------------------------------
+
+_PLAN_NODES = 16  # nodes of a plan's first step, h = T/16
+_PLAN_NODE_CAP = 4096  # a plan that needs more nodes refuses the point
+_PLAN_CACHE = 32  # plans kept; the oldest is dropped first
+_PLANS = {}  # (measure, lam, X, Y, dps, tol) -> _Plan
+_ALL_PARTS = ("value", "deriv", "moment2")
+
+
+class _Plan:
+    """Pre-weighted trapezoid nodes t_k = k h, k = 0..n, on [0, T] for one
+    (measure, lam, box |Re z| <= X, |Im z| <= Y, dps, tol).
+
+    H(z) = c_0 + sum_k c_k cos(t_k z) with c_0 = h f(0) and
+    c_k = 2h e^{lam t_k^2} f(t_k); H' and -H'' carry c_k t_k and c_k t_k^2.
+    T makes the tail bound with growth Y at most tol/16 (both sides, every
+    moment).  h starts at T/16 and halves until h <= pi/X and the
+    step-halving difference |T_h - T_2h| at the corner X + iY is at most
+    tol/8.
+
+    Why both: by Poisson summation the full trapezoid sum at z is H(z) plus
+    the aliases H(z + 2 pi m/h), m != 0, and T_2h - T_h is the sum of the
+    aliases at odd multiples of pi/h.  With h <= pi/X and |Re z| <= X the
+    nearest of those, H(z - pi/h) or H(z + pi/h), lies nearer the origin
+    than every alias in the error, so where H decays away from the origin
+    the difference bounds the error, and the corner bounds it for the whole
+    box (H is even and real on the axis, so X + iY stands for all four
+    corners).  Without the step bound a z at 2 pi/h reads H(0) with a
+    difference of 0.
+    """
+
+    def __init__(self, measure, lam, X, Y, tol):
+        dps = mp.dps
+        T, tail = numerics._choose_truncation(
+            measure.decay_descriptor(), lam, Y, tol / 16, (0, 1, 2)
+        )
+        # each sum drops its nodes past T, and a decreasing tail sums below
+        # its integral: the h sum, its halving difference and the 2h sum
+        self.T, self.tail = T, 3 * tail
+        self.reach = max(T, 1) ** 2  # |t_k|^m <= reach for the moments m <= 2
+        self.eps = _rounding_eps()
+        self.corner, self.h_max = mpc(X, Y), mp.pi / X
+        if T > _PLAN_NODE_CAP * self.h_max:
+            raise _over_cap(T)
+        # f to working precision: each node is weighed once, and eps covers it
+        self._weight = lambda t: mpmath.exp(lam * t * t) * measure.density_value(t, dps, dps)
+        self._weigh([self._weight(T * k / _PLAN_NODES) for k in range(_PLAN_NODES + 1)])
+        while self.h > self.h_max or self.corner_gap > tol / 8:
+            self.refine()
+
+    def _weigh(self, wf):
+        """Take e^{lam t^2} f(t) at the n + 1 nodes of step T/n."""
+        n = len(wf) - 1
+        self.wf, self.h = wf, self.T / n
+        self.origin = self.h * wf[0]
+        self.sites = []
+        for k in range(1, n + 1):
+            t, c = self.T * k / n, 2 * self.h * wf[k]
+            self.sites.append((t, c, c * t, c * t * t))
+        self.corner_gap = self._sums(self.corner, _ALL_PARTS)[1]
+
+    def refine(self):
+        """Halve h: the new odd nodes join the old ones, which keep f."""
+        n = 2 * (len(self.wf) - 1)
+        if n > _PLAN_NODE_CAP:
+            raise _over_cap(self.T)
+        wf = [None] * (n + 1)
+        wf[0::2] = self.wf
+        wf[1::2] = [self._weight(self.T * k / n) for k in range(1, n, 2)]
+        self._weigh(wf)
+
+    def _sums(self, z, parts):
+        vals, alt, rounding = _lattice_sums(
+            self.origin, self.sites, z * self.h, parts, self.eps, halving=True
+        )
+        return vals, max(abs(d) for d in alt.values()), rounding
+
+    def evaluate(self, z, parts):
+        """The parts at z and their error estimate: the larger of the
+        step-halving differences at z and at the corner, the rounding of
+        the sum and the tail."""
+        vals, gap, rounding = self._sums(z, parts)
+        return vals, max(gap, self.corner_gap) + rounding * self.reach + self.tail
+
+
+def _over_cap(T):
+    return QuadratureError(
+        "trapezoid plan on [0, %s] needs more than %d nodes" % (mpmath.nstr(T, 6), _PLAN_NODE_CAP)
+    )
+
+
+def _planned(measure: EvenMeasure, lam, ctx: PrecisionContext):
+    """evaluate(z, parts) through the plan of the box about z; a point whose
+    estimate exceeds tol refines that plan, and past the node cap is refused
+    with QuadratureError.  The box rounds |Re z| up to a multiple of 8 and
+    |Im z| up to an integer, so a verdict builds only a few plans."""
+    dps, tol = mp.dps, ctx.target_abs_tol
+
+    def evaluate(z, parts):
+        X = 8 * max(1, int(mpmath.ceil(abs(z.real) / 8)))
+        Y = int(mpmath.ceil(abs(z.imag)))
+        key = (measure, lam, X, Y, dps, tol)
+        plan = _PLANS.get(key)
+        if plan is None:
+            plan = _Plan(measure, lam, X, Y, tol)
+            if len(_PLANS) >= _PLAN_CACHE:
+                del _PLANS[next(iter(_PLANS))]
+            _PLANS[key] = plan
+        while True:
+            vals, err = plan.evaluate(z, parts)
+            if err <= tol:
+                return vals, err
+            plan.refine()
+
+    return evaluate
+
+
+# ---------------------------------------------------------------------------
 # transform evaluation
 # ---------------------------------------------------------------------------
 
 
 def _compile(measure: EvenMeasure, lam, ctx: PrecisionContext):
-    """evaluate(z, parts, **kw) -> {part: TransformEval} of H_{measure,lam}, with
-    the entireness check, multiplied measures and the kind's factory done once."""
+    """evaluate(z, parts) -> {part: TransformEval} of H_{measure,lam}, with
+    the entireness check, multiplied measures and the kind's factory done
+    once.  A kind without a closed form takes a trapezoid plan when its
+    density is analytic in a strip, and the adaptive quadrature otherwise."""
     _require_evaluable(measure, lam)
     if measure.kind == "MultipliedMeasure":
         inner = _compile(measure.base, measure.lam + lam, ctx)
         norm = measure.norm
-        return inner if norm is None else lambda z, parts, **kw: {
+        return inner if norm is None else lambda z, parts: {
             p: TransformEval(te.value / norm, te.abs_error_estimate / abs(norm), lam, z, te.n_evals)
-            for p, te in inner(z, parts, **kw).items()
+            for p, te in inner(z, parts).items()
         }
-    closed = _kind_of(measure).closed
-    if closed is None:
-        return lambda z, parts, **kw: numerics.eval_H_density_parts(measure, lam, z, ctx,
-                                                                    parts=parts, **kw)
-    closed = closed(_params(measure), lam, ctx)
+    spec = _kind_of(measure)
+    if spec.closed is not None:
+        closed = spec.closed(_params(measure), lam, ctx)
+    elif spec.analytic_strip:
+        closed = _planned(measure, lam, ctx)
+    else:
+        return lambda z, parts: numerics.eval_H_density_parts(measure, lam, z, ctx, parts=parts)
 
-    def evaluate(z, parts, **kw):
+    def evaluate(z, parts):
         vals, err = closed(z, parts)
         return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
 
@@ -753,23 +946,23 @@ def _compile(measure: EvenMeasure, lam, ctx: PrecisionContext):
 
 def eval_H_parts(
     measure: EvenMeasure, lam, z, ctx: PrecisionContext = None, parts=("value",), *,
-    compiled=None, **kw
+    compiled=None
 ) -> dict:
     """Transform H, and optionally H' and -H'', dispatched per measure kind.
 
     "deriv" is the analytic derivative int (it) e^{izt} e^{lam t^2} d rho;
     "moment2" is int t^2 e^{izt} e^{lam t^2} d rho = -H''(z).  compiled is
     the evaluator a TransformFunction built for this measure and lam; without
-    it one is built for this call.
+    it one is built for this call (plans are shared through a module cache).
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps(10):
         evaluate = compiled or _compile(measure, mpf(lam), ctx)
-        return evaluate(mpc(z), parts, **kw)
+        return evaluate(mpc(z), parts)
 
 
-def eval_H(measure, lam, z, ctx: PrecisionContext = None, **kw) -> TransformEval:
-    return eval_H_parts(measure, lam, z, ctx, parts=("value",), **kw)["value"]
+def eval_H(measure, lam, z, ctx: PrecisionContext = None) -> TransformEval:
+    return eval_H_parts(measure, lam, z, ctx, parts=("value",))["value"]
 
 
 class TransformFunction:
@@ -777,7 +970,8 @@ class TransformFunction:
 
     The zeros module consumes this interface.  The evaluator is built once,
     at construction; every call still enters through eval_H_parts.
-    value_and_derivative shares a single quadrature pass for density measures.
+    value_and_derivative shares one pass: one lattice sum of a plan, or one
+    adaptive quadrature pass.
     """
 
     def __init__(self, measure: EvenMeasure, lam, ctx: PrecisionContext = None):

@@ -12,7 +12,12 @@ Four jobs live here:
                      independent oracle the quadrature route is checked against.
   * eval_H_density -- adaptive Gauss-Legendre evaluation of
                      2 * int_0^T cos(z t) e^{lam t^2} f(t) dt
-                     with an analytic bound for the discarded tail.
+                     with an analytic bound for the discarded tail.  The
+                     transform plans of measures (trapezoid nodes for
+                     densities analytic in a strip) replace it in
+                     production; it stays as their independent reference
+                     and as the route of AbsExpGaussian, whose density
+                     has a kink at 0.  Both take T from _choose_truncation.
 
 Everything computes with mpmath at the precision carried by a
 PrecisionContext and reports absolute error estimates, never bare values,
@@ -52,8 +57,10 @@ class TransformEval:
     """One evaluation of H_{rho,lam}(z) together with its error budget.
 
     abs_error_estimate is a-posteriori: accumulated panel discrepancies of
-    the adaptive quadrature plus the analytic bound for the truncated tail.
-    Exact closed-form evaluations report the rounding-level estimate.
+    the adaptive quadrature plus the analytic bound for the truncated tail,
+    or a transform plan's step-halving difference plus its rounding and
+    tail bounds.  Exact closed-form evaluations report the rounding-level
+    estimate.
     """
 
     value: mpc

@@ -218,6 +218,14 @@ class _ContourDip(Exception):
         self.ratio = ratio
 
 
+class _EvaluatorFailed(Exception):
+    """Carries an error f itself raised out of an edge integral, so that
+    only the edge quadrature's own non-convergence reads as a dip."""
+
+    def __init__(self, error):
+        self.error = error
+
+
 # ---------------------------------------------------------------------------
 # winding + moment integrals
 # ---------------------------------------------------------------------------
@@ -228,7 +236,10 @@ def _edge_pass(fn, za, zb, abs_tol, n_moments, stats):
 
     def integrand(t):
         z = za + t * dz
-        v, d = fn.value_and_derivative(z)
+        try:
+            v, d = fn.value_and_derivative(z)
+        except QuadratureError as e:
+            raise _EvaluatorFailed(e) from e
         av = abs(v)
         if av > stats["max"]:
             stats["max"] = av
@@ -248,6 +259,8 @@ def _edge_pass(fn, za, zb, abs_tol, n_moments, stats):
         vals, err, n = numerics.integrate_adaptive(
             integrand, mpf(0), mpf(1), abs_tol, ncomp=1 + n_moments
         )
+    except _EvaluatorFailed as e:
+        raise e.error from None
     except QuadratureError:
         # a non-integrable spike on the edge means a zero sits on or
         # hugs the contour: hand control to the perturb-and-retry loop

@@ -26,7 +26,7 @@ from dbnlab import (
 )
 from dbnlab.cli import parse_measure_spec
 from dbnlab.measures import _KINDS, _case8_weight
-from dbnlab import SchemaError, numerics
+from dbnlab import QuadratureError, SchemaError, measures, numerics
 
 CTX = PrecisionContext()
 
@@ -602,3 +602,122 @@ def test_property_compiled_convolution_matches_sites(pairs, b0, frac, re, im):
                 want["deriv"] += site * mpc(0, 1) * u / (2 * c)
                 want["moment2"] += site * (u * u / (4 * c * c) + 1 / (2 * c))
         _assert_parts_match(got, want)
+
+
+# ---------------------------------------------------------------------------
+# transform plans: the trapezoid route against the adaptive reference
+# ---------------------------------------------------------------------------
+
+#: kinds without a closed form whose density is analytic in a strip
+PLAN_KINDS = sorted(k for k, s in _KINDS.items() if s.closed is None and s.analytic_strip)
+ALL_PARTS = ("value", "deriv", "moment2")
+
+
+def _adaptive_calls(monkeypatch):
+    """Record the measures that reach the adaptive quadrature route."""
+    calls, adaptive = [], numerics.eval_H_density_parts
+
+    def recorded(density, *args, **kw):
+        calls.append(density.density_kind)
+        return adaptive(density, *args, **kw)
+
+    monkeypatch.setattr(numerics, "eval_H_density_parts", recorded)
+    return calls
+
+
+class TestPlanRoute:
+    def test_route_follows_the_table(self, monkeypatch):
+        # every density without a closed form takes a plan, except the one
+        # whose e^{-a|t|} has a kink at 0, which stays on adaptive quadrature
+        assert PLAN_KINDS == [
+            "CoshExp", "DBNClass", "ExpPower", "PolyDecayGaussian", "PolyaQuartic",
+            "RiemannPhi", "SexticField",
+        ]
+        calls = _adaptive_calls(monkeypatch)
+        for name in PLAN_KINDS + ["AbsExpGaussian"]:
+            m = parse_measure_spec(KIND_SPECS[name], LIGHT)
+            eval_H_parts(m, mpf("-0.5"), mpc("1.5", "0.5"), LIGHT, ALL_PARTS)
+        assert calls == ["AbsExpGaussian"]
+
+    def test_multiplied_measure_takes_the_plan_of_its_base(self, monkeypatch):
+        calls = _adaptive_calls(monkeypatch)
+        with LIGHT.workdps():
+            phi = named_density("RiemannPhi", LIGHT)
+            normed = apply_gaussian_multiplier(phi, mpf("0.1"), normalize=True, ctx=LIGHT)
+            h0 = eval_H(normed, mpf(0), mpf(0), LIGHT)
+        assert abs(h0.value - 1) <= h0.abs_error_estimate
+        assert calls == []
+
+    @pytest.mark.parametrize("z", ["0", "1", "5", "0.3+0.2j", "41+0.5j", "164.7"])
+    def test_phi_plan_against_the_xi_oracle(self, z):
+        # the four points of the quadrature oracle test, a far point whose
+        # box needs a finer plan, and a multiple of 2 pi/h for the steps
+        # T/16 and T/32: with a step too coarse for its box, the sum there
+        # reads H(0) and its step-halving difference reads 0
+        with LIGHT.workdps():
+            phi = named_density("RiemannPhi", LIGHT)
+            z = mpc(complex(z))
+            out = eval_H(phi, mpf(0), z, LIGHT)
+            ref = numerics.eval_xi_reference(z, PrecisionContext(40, mpf("1e-30")))
+            assert out.abs_error_estimate <= LIGHT.target_abs_tol
+            assert abs(out.value - ref) <= out.abs_error_estimate
+        if z.real > 40:
+            assert len(_phi_plan(phi, z).sites) > len(_phi_plan(phi, mpf(1)).sites)
+
+    def test_a_point_over_tol_refines_its_plan(self, monkeypatch):
+        monkeypatch.setattr(measures, "_PLANS", {})  # leave the shared plans alone
+        with LIGHT.workdps():
+            phi, z = named_density("RiemannPhi", LIGHT), mpc(3, "0.5")
+            eval_H(phi, mpf(0), z, LIGHT)
+            plan = _phi_plan(phi, z)
+            nodes = len(plan.sites)
+            plan.corner_gap = LIGHT.target_abs_tol  # as if the box were too coarse
+            out = eval_H(phi, mpf(0), z, LIGHT)
+            assert len(plan.sites) == 2 * nodes
+            assert out.abs_error_estimate <= LIGHT.target_abs_tol
+            # past the node cap the point is refused, never returned
+            plan.corner_gap = LIGHT.target_abs_tol
+            monkeypatch.setattr(measures, "_PLAN_NODE_CAP", 2 * nodes)
+            with pytest.raises(QuadratureError):
+                eval_H(phi, mpf(0), z, LIGHT)
+
+    def test_a_box_beyond_the_node_cap_is_refused(self):
+        # h <= pi/X needs T X / pi nodes: far more than the cap here
+        with LIGHT.workdps():
+            phi = named_density("RiemannPhi", LIGHT)
+            with pytest.raises(QuadratureError):
+                eval_H(phi, mpf(0), mpc(30000, "0.5"), LIGHT)
+
+
+def _phi_plan(phi, z):
+    """The cached plan of Phi at lam = 0 whose box holds z, at LIGHT."""
+    X = 8 * max(1, int(mpmath.ceil(abs(mpf(z.real)) / 8)))
+    Y = int(mpmath.ceil(abs(mpf(z.imag))))
+    key = (phi, mpf(0), X, Y, LIGHT.working_digits + 10, LIGHT.target_abs_tol)
+    return measures._PLANS[key]
+
+
+@settings(max_examples=14, deadline=None)
+@given(
+    name=st.sampled_from(PLAN_KINDS),
+    frac=st.floats(0, 1),
+    re=st.floats(-12, 12),
+    im=st.floats(-2, 2),
+)
+def test_property_plan_matches_adaptive_reference(name, frac, re, im):
+    """Value, H' and -H'' of every plan kind against the adaptive route at
+    60 digits, lam inside the tail set (at most b0 - 1/2 below an endpoint
+    b0) and |Im z| <= 2: the deviation stays within the two estimates, and
+    the plan's estimate within tol."""
+    m = parse_measure_spec(KIND_SPECS[name], LIGHT)
+    ts = tail_set(m)
+    hi = mpf(1) if ts.shape == "AllReals" else min(mpf(1), ts.b0 - mpf(1) / 2)
+    lam, z = -1 + mpf(frac) * (hi + 1), mpc(re, im)
+    got = eval_H_parts(m, lam, z, LIGHT, ALL_PARTS)
+    ref_ctx = PrecisionContext(60, mpf("1e-30"))
+    with ref_ctx.workdps():
+        ref = numerics.eval_H_density_parts(m, lam, z, ref_ctx, parts=ALL_PARTS)
+        for p, te in got.items():
+            assert te.abs_error_estimate <= LIGHT.target_abs_tol
+            bound = te.abs_error_estimate + ref[p].abs_error_estimate
+            assert abs(te.value - ref[p].value) <= bound, (name, p, lam, z)

@@ -18,7 +18,12 @@ from dbnlab.measures import (
     symmetric_atoms,
     transform_function,
 )
-from dbnlab.precision import DomainError, PrecisionContext, WindingError
+from dbnlab.precision import (
+    DomainError,
+    PrecisionContext,
+    QuadratureError,
+    WindingError,
+)
 from dbnlab.zeros import (
     Rectangle,
     ZeroSet,
@@ -101,6 +106,21 @@ class TestCountZeros:
             right = count_zeros(fn, Rectangle.make(2, 6, -1, 1), ctx)
         assert whole == 3
         assert left + right == whole
+
+    def test_evaluator_failure_is_not_read_as_a_dip(self):
+        # an evaluator that cannot certify a value raises QuadratureError
+        # itself; that must reach the caller, not grow the window as if a
+        # zero hugged the contour
+        def cos_or_refuse(z):
+            if mpmath.re(z) > 2:
+                raise QuadratureError("no certified value at %s" % z)
+            return mpmath.cos(z)
+
+        ctx = ctx30()
+        with ctx.workdps(0):
+            f = as_analytic(cos_or_refuse, lambda z: -mpmath.sin(z))
+            with pytest.raises(QuadratureError):
+                count_zeros(f, Rectangle.make(-3, 3, -1, 1), ctx)
 
     def test_riemann_weight_window(self):
         ctx = ctx_cheap()
