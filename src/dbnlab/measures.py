@@ -22,8 +22,8 @@ and returns an evaluator of z, which a TransformFunction keeps for all its
 points.  A MultipliedMeasure is not a kind: it wraps a base measure and
 shifts lambda.
 
-A kind without a closed form whose density is even and analytic on a strip
-about the real axis (the table's analytic_strip) takes a transform plan:
+A kind without a closed form, whose density must then be even and analytic
+on a strip about the real axis, takes a transform plan:
 trapezoid nodes t_k = k h on [0, T], pre-weighted by h e^{lam t^2} f(t), one
 plan per (measure, lambda, box |Re z| <= X, |Im z| <= Y, precision,
 tolerance), kept in a small module cache that one-off eval_H calls share.
@@ -31,8 +31,9 @@ H, H' and -H'' are cosine lattice sums in powers of one e^{izh}.  The error
 estimate of a point is the step-halving difference |T_h - T_2h| (at the
 point and at the box corner, read from the same sum), the rounding of the
 sum and the tail past T; a point whose estimate exceeds the tolerance
-refines its plan, and past a node cap is refused with QuadratureError.  AbsExpGaussian, whose
-e^{-a|t|} has a kink at 0, keeps the adaptive quadrature of numerics.
+refines its plan, and past a node cap is refused with QuadratureError.
+AbsExpGaussian (e^{-a|t|} has a kink at 0) has an erfc closed form; the
+adaptive quadrature of numerics is only an independent reference.
 
 Atom convention: an entry (t, w) with t > 0 is the symmetric pair carrying
 total weight w, split w/2 at each of +-t; an entry (0, w) is a plain atom at
@@ -55,6 +56,7 @@ from .precision import (
     PrecisionContext,
     QuadratureError,
     RangeError,
+    TailBoundError,
 )
 from .numerics import TransformEval
 
@@ -143,9 +145,9 @@ class EvenMeasure:
         raise KeyError(name)
 
     # -- density evaluation (quadrature kinds and convolution) --------------
-    def density_value(self, t, dps: int, tol_digits: int):
-        """f(t) at t >= 0 for kinds that carry a density."""
-        return _density_value_cached(self, t, dps, tol_digits)
+    def density_value(self, t, dps: int):
+        """f(t) at t >= 0 to dps digits, for kinds that carry a density."""
+        return _density_value_cached(self, t, dps)
 
     # -- decay envelope for tail truncation ---------------------------------
     def decay_descriptor(self) -> DecayDescriptor:
@@ -335,12 +337,15 @@ def _require_evaluable(measure: EvenMeasure, lam):
 # ---------------------------------------------------------------------------
 
 
+# Plans of one measure and lam share the nodes of one T (a geometric grid):
+# phi_verdict's 7 plans make 231 lookups of 33 nodes, a Phi value costs 0.46 ms
+# at 30 digits, and its wall_s rose ~15% without this cache (2-core host).
 @lru_cache(maxsize=400_000)
-def _density_value_cached(measure, t, dps, tol_digits):
+def _density_value_cached(measure, t, dps):
     spec, p = _kind_of(measure), _params(measure)
     with mp.workdps(dps):
         if spec.density is not None:
-            return spec.density(p, t, dps, tol_digits)
+            return spec.density(p, t, dps)
         if spec.g is None:
             raise DbnlabError(
                 "%s has no pointwise density" % (measure.density_kind or measure.kind)
@@ -363,7 +368,7 @@ def _atoms_valid(p):
     )
 
 
-def _conv_density(p, t, dps, tol_digits):
+def _conv_density(p, t, dps):
     b0 = p["b0"]
     total = mpf(0)
     for tj, w in p["atoms"]:
@@ -627,6 +632,36 @@ def _case8_exact(z, parts, eps):
     return out, _closed_form_err(out, eps)
 
 
+def _absexp_closed(p, lam, ctx):
+    # H, H' and -H'' are sum_+- T(u), (-+i) T'(u) and T''(u) at u = a -+ iz, for
+    # T(u) = int_0^inf e^{-ut - ct^2} dt with c = lam_p - lam: 1/u at c = 0 (for
+    # Re u > 0), else sqrt(pi)/(2 sqrt c) E(u/(2 sqrt c)) with E(w) = e^{w^2} erfc w
+    a, c, eps, k = p["a"], p["lam"] - lam, _rounding_eps(), mpmath.sqrt(mp.pi)
+    r = 1 / (2 * mpmath.sqrt(c)) if c else None
+
+    def T(u):
+        if r is None:
+            if u.real <= 0:
+                raise TailBoundError("at lam = %s, H needs |Im z| < a = %s" % (lam, a))
+            return 1 / u, -1 / u**2, 2 / u**3
+        # E' = 2wE - 2/sqrt(pi) and E'' = 2E + 2wE' cancel down to O(E/|w|^2)
+        # and O(E/|w|^4): take them with 2 log10(2 + |w|^2) extra digits
+        w = u * r
+        with mp.workdps(mp.dps + 2 * int(mpmath.log10(2 + abs(w) ** 2)) + 2):
+            E = mpmath.exp(w * w) * mpmath.erfc(w)
+            E1 = 2 * w * E - 2 / k
+            return k * r * E, k * r * r * E1, k * r**3 * (2 * E + 2 * w * E1)
+
+    def evaluate(z, parts):
+        (u0, u1, u2), (d0, d1, d2) = T(a - 1j * z), T(a + 1j * z)
+        pairs = dict(zip(_ALL_PARTS, ((u0, d0), (-1j * u1, 1j * d1), (u2, d2))))
+        # the summands set the rounding: at large |z| they cancel to H's decay
+        size = max(abs(pairs[q][0]) + abs(pairs[q][1]) for q in parts)
+        return {q: pairs[q][0] + pairs[q][1] for q in parts}, max(size, 1) * eps
+
+    return evaluate
+
+
 # ---------------------------------------------------------------------------
 # the kind table
 # ---------------------------------------------------------------------------
@@ -646,14 +681,12 @@ class _Kind:
     g: callable = None  # (p, t) -> g(t) with f(t) <= exp(-g(t)) for t >= t_min
     g_deriv: callable = None  # (p, t) -> g'(t)
     t_min: callable = lambda p: 0.25
-    density: callable = None  # (p, t, dps, tol_digits) -> f(t), where f != exp(-g)
+    density: callable = None  # (p, t, dps) -> f(t) to dps digits, where f != exp(-g)
     # (p, lam, ctx) -> evaluate(z, parts) -> (values, error estimate), built
-    # once per (measure, lam) with all the work that does not depend on z
+    # once per (measure, lam) with all the work that does not depend on z.
+    # Without one a kind takes a trapezoid plan, which converges fast only
+    # if f is even and analytic on a strip about the real axis: it must be
     closed: callable = None
-    # f is even and analytic on a strip about the real axis, so the
-    # trapezoid rule converges exponentially: kinds without a closed form
-    # take a plan
-    analytic_strip: bool = False
     real_on_axis: bool = True
     rate: str = None  # the parameter a normalized Gaussian multiplier shifts by -lam
     from_atoms: callable = None  # (base atoms, ctx, **params) -> EvenMeasure; None for densities
@@ -680,7 +713,6 @@ _KINDS = {
         t_min=lambda p: float(max(tj for tj, _ in p["atoms"])) + 0.25,
         density=_conv_density,
         closed=_conv_closed,
-        analytic_strip=True,
     ),
     "RiemannPhi": _Kind(
         tail=lambda p: TailSet("AllReals"),
@@ -688,8 +720,7 @@ _KINDS = {
         g=lambda p, u: mp.pi * mpmath.exp(2 * u) - mpf(9) / 2 * u - mpmath.log(mpf(40)),
         g_deriv=lambda p, u: 2 * mp.pi * mpmath.exp(2 * u) - mpf(9) / 2,
         t_min=lambda p: 0.5,
-        density=lambda p, t, dps, tol_digits: numerics._phi_raw(t, dps, tol_digits),
-        analytic_strip=True,
+        density=lambda p, t, dps: numerics._phi_raw(t, dps, dps),
     ),
     # unnormalized by convention: the family e^{-b0 t^2} is closed under
     # Gaussian multipliers with no prefactor bookkeeping, and scalar
@@ -703,7 +734,6 @@ _KINDS = {
         g_deriv=lambda p, t: 2 * p["b0"] * t,
         closed=_gaussian_closed,
         rate="b0",
-        analytic_strip=True,
     ),
     "ExpPower": _Kind(
         params=(("q", _INTEGER),),
@@ -712,7 +742,6 @@ _KINDS = {
         tail=lambda p: TailSet("AllReals"),
         g=lambda p, t: t ** (2 * p["q"]),
         g_deriv=lambda p, t: 2 * p["q"] * t ** (2 * p["q"] - 1),
-        analytic_strip=True,
     ),
     "CoshExp": _Kind(
         params=(("a", _NUMBER),),
@@ -721,7 +750,6 @@ _KINDS = {
         tail=lambda p: TailSet("AllReals"),
         g=lambda p, t: p["a"] * mpmath.cosh(t),
         g_deriv=lambda p, t: p["a"] * mpmath.sinh(t),
-        analytic_strip=True,
     ),
     # K t^{2m} e^{-alpha t^4 - beta t^2} prod_j (1 + t^2/a_j^2) e^{-t^2/a_j^2}
     "DBNClass": _Kind(
@@ -737,7 +765,6 @@ _KINDS = {
         g=_dbn_g,
         g_deriv=_dbn_g_deriv,
         t_min=lambda p: 1.0 if p["m"] else 0.25,
-        analytic_strip=True,
     ),
     "PolyaQuartic": _Kind(
         params=(("a", _NUMBER), ("b", _NUMBER), ("c", _NUMBER), ("q", _INTEGER)),
@@ -749,7 +776,6 @@ _KINDS = {
         g_deriv=lambda p, t: 4 * p["a"] * p["q"] * t ** (4 * p["q"] - 1)
         - 2 * p["b"] * p["q"] * t ** (2 * p["q"] - 1)
         - 2 * p["c"] * t,
-        analytic_strip=True,
     ),
     "SexticField": _Kind(
         params=(("a", _NUMBER), ("b", _NUMBER), ("c", _NUMBER)),
@@ -758,7 +784,6 @@ _KINDS = {
         tail=lambda p: TailSet("AllReals"),
         g=lambda p, t: p["a"] * t**6 + p["b"] * t**4 + p["c"] * t * t,
         g_deriv=lambda p, t: 6 * p["a"] * t**5 + 4 * p["b"] * t**3 + 2 * p["c"] * t,
-        analytic_strip=True,
     ),
     # At b equal to the Gaussian rate lam the remaining factor (e^{-a|x|} or
     # (1+x^2)^{-theta} with theta > 1/2) is still integrable, so the endpoint
@@ -770,6 +795,7 @@ _KINDS = {
         tail=lambda p: TailSet("ClosedUpTo", p["lam"]),
         g=lambda p, t: p["a"] * t + p["lam"] * t * t,
         g_deriv=lambda p, t: p["a"] + 2 * p["lam"] * t,
+        closed=_absexp_closed,
     ),
     "PolyDecayGaussian": _Kind(
         params=(("lam", _NUMBER), ("theta", _NUMBER)),
@@ -778,7 +804,6 @@ _KINDS = {
         tail=lambda p: TailSet("ClosedUpTo", p["lam"]),
         g=lambda p, t: p["theta"] * mpmath.log(1 + t * t) + p["lam"] * t * t,
         g_deriv=lambda p, t: 2 * p["theta"] * t / (1 + t * t) + 2 * p["lam"] * t,
-        analytic_strip=True,
     ),
     "Case6": _Kind(
         tail=lambda p: TailSet("OpenUpTo", mpf(1)),
@@ -839,7 +864,7 @@ class _Plan:
         if T > _PLAN_NODE_CAP * self.h_max:
             raise _over_cap(T)
         # f to working precision: each node is weighed once, and eps covers it
-        self._weight = lambda t: mpmath.exp(lam * t * t) * measure.density_value(t, dps, dps)
+        self._weight = lambda t: mpmath.exp(lam * t * t) * measure.density_value(t, dps)
         self._weigh([self._weight(T * k / _PLAN_NODES) for k in range(_PLAN_NODES + 1)])
         while self.h > self.h_max or self.corner_gap > tol / 8:
             self.refine()
@@ -919,8 +944,7 @@ def _planned(measure: EvenMeasure, lam, ctx: PrecisionContext):
 def _compile(measure: EvenMeasure, lam, ctx: PrecisionContext):
     """evaluate(z, parts) -> {part: TransformEval} of H_{measure,lam}, with
     the entireness check, multiplied measures and the kind's factory done
-    once.  A kind without a closed form takes a trapezoid plan when its
-    density is analytic in a strip, and the adaptive quadrature otherwise."""
+    once.  A kind without a closed form takes a trapezoid plan."""
     _require_evaluable(measure, lam)
     if measure.kind == "MultipliedMeasure":
         inner = _compile(measure.base, measure.lam + lam, ctx)
@@ -932,10 +956,8 @@ def _compile(measure: EvenMeasure, lam, ctx: PrecisionContext):
     spec = _kind_of(measure)
     if spec.closed is not None:
         closed = spec.closed(_params(measure), lam, ctx)
-    elif spec.analytic_strip:
-        closed = _planned(measure, lam, ctx)
     else:
-        return lambda z, parts: numerics.eval_H_density_parts(measure, lam, z, ctx, parts=parts)
+        closed = _planned(measure, lam, ctx)
 
     def evaluate(z, parts):
         vals, err = closed(z, parts)
@@ -970,8 +992,8 @@ class TransformFunction:
 
     The zeros module consumes this interface.  The evaluator is built once,
     at construction; every call still enters through eval_H_parts.
-    value_and_derivative shares one pass: one lattice sum of a plan, or one
-    adaptive quadrature pass.
+    value_and_derivative shares one pass: one closed-form evaluation or one
+    lattice sum of a plan.
     """
 
     def __init__(self, measure: EvenMeasure, lam, ctx: PrecisionContext = None):
@@ -1029,7 +1051,7 @@ def partial_gaussian_mass(measure: EvenMeasure, b, T, ctx: PrecisionContext = No
         dps = mp.dps
 
         def fn(t):
-            return (2 * mpmath.exp(b * t * t) * measure.density_value(t, dps, ctx.tol_digits),)
+            return (2 * mpmath.exp(b * t * t) * measure.density_value(t, dps),)
 
         vals, _, _ = numerics.integrate_adaptive(
             fn, mpf(0), T, mpf(10) ** (-10), ncomp=1

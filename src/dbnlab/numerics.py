@@ -12,12 +12,12 @@ Four jobs live here:
                      independent oracle the quadrature route is checked against.
   * eval_H_density -- adaptive Gauss-Legendre evaluation of
                      2 * int_0^T cos(z t) e^{lam t^2} f(t) dt
-                     with an analytic bound for the discarded tail.  The
-                     transform plans of measures (trapezoid nodes for
-                     densities analytic in a strip) replace it in
-                     production; it stays as their independent reference
-                     and as the route of AbsExpGaussian, whose density
-                     has a kink at 0.  Both take T from _choose_truncation.
+                     with an analytic bound for the discarded tail.  No
+                     production route uses it: measures evaluates every
+                     kind by its closed form or a transform plan
+                     (trapezoid nodes, T from _choose_truncation as here),
+                     and this stays as their independent reference for the
+                     tests and the casebook.
 
 Everything computes with mpmath at the precision carried by a
 PrecisionContext and reports absolute error estimates, never bare values,
@@ -92,11 +92,7 @@ def eval_phi(u, ctx: PrecisionContext = None) -> mpf:
         u = abs(mpf(u))
         if 2 * u > _PHI_MAX_2U:
             raise RangeError("eval_phi: exp(2|u|) out of range at |u|=%s" % u)
-        return _phi_raw(u, mp.dps, _tol_key(ctx))
-
-
-def _tol_key(ctx: PrecisionContext) -> int:
-    return ctx.tol_digits
+        return _phi_raw(u, mp.dps, ctx.tol_digits)
 
 
 def _phi_raw(u: mpf, dps: int, tol_digits: int) -> mpf:
@@ -311,7 +307,6 @@ def integrate_adaptive(
     order: int = 24,
     low_order: int = 12,
     max_depth: int = 42,
-    initial_panels: int = 1,
     ncomp: int = 1,
 ):
     """Adaptive panel-bisection quadrature of a (vector of) integrand(s).
@@ -328,11 +323,7 @@ def integrate_adaptive(
     hi_nodes = _gl_nodes(order, mp.prec)
     lo_nodes = _gl_nodes(low_order, mp.prec)
     width_full = b - a
-    stack = []
-    for i in range(initial_panels):
-        pa = a + width_full * i / initial_panels
-        pb = a + width_full * (i + 1) / initial_panels
-        stack.append((pa, pb, 0))
+    stack = [(a, b, 0)]
     total = [mpc(0)] * ncomp
     err_total = mpf(0)
     n_evals = 0
@@ -416,7 +407,6 @@ def eval_H_density_parts(
     ctx: PrecisionContext = None,
     *,
     parts=("value",),
-    initial_panels: int = 1,
 ):
     """Quadrature transform of an even density, with optional companions.
 
@@ -425,8 +415,8 @@ def eval_H_density_parts(
       "deriv"   : -2 int_0^T t sin(z t) e^{lam t^2} f(t) dt     (= H'(z))
       "moment2" : 2 int_0^T t^2 cos(z t) e^{lam t^2} f(t) dt    (= -H''(z))
 
-    Sharing one adaptive pass across the requested parts keeps the winding
-    integrals (which need H and H' at every contour point) affordable.
+    One adaptive pass serves all requested parts.  This is the reference
+    that the closed forms and transform plans of measures are tested against.
 
     Returns {part: TransformEval}.
     """
@@ -441,10 +431,10 @@ def eval_H_density_parts(
         powers = tuple(power_of[p] for p in parts)
         T, tail = _choose_truncation(descr, lam, growth, tol / 2, powers)
         dps = mp.dps
-        tol_digits = _tol_key(ctx)
 
         def fn(t):
-            wgt = mpmath.exp(lam * t * t) * density.density_value(t, dps, tol_digits)
+            # f to working precision, as the plans take it
+            wgt = mpmath.exp(lam * t * t) * density.density_value(t, dps)
             out = []
             for p in parts:
                 if p == "value":
@@ -455,9 +445,7 @@ def eval_H_density_parts(
                     out.append(2 * wgt * t * t * mpmath.cos(z * t))
             return out
 
-        values, qerr, n_evals = integrate_adaptive(
-            fn, mpf(0), T, tol / 2, ncomp=len(parts), initial_panels=initial_panels
-        )
+        values, qerr, n_evals = integrate_adaptive(fn, mpf(0), T, tol / 2, ncomp=len(parts))
         total_err = qerr + tail
         if total_err > tol:
             raise QuadratureError(
@@ -469,6 +457,6 @@ def eval_H_density_parts(
         }
 
 
-def eval_H_density(density, lam, z, ctx: PrecisionContext = None, **kw) -> TransformEval:
+def eval_H_density(density, lam, z, ctx: PrecisionContext = None) -> TransformEval:
     """int e^{izt} e^{lam t^2} f(t) dt for an even density f (see parts variant)."""
-    return eval_H_density_parts(density, lam, z, ctx, parts=("value",), **kw)["value"]
+    return eval_H_density_parts(density, lam, z, ctx, parts=("value",))["value"]

@@ -203,13 +203,15 @@ class TestHDensity:
                 assert abs(h.value - hm.value) < budget
                 assert abs(mpmath.conj(hc.value) - h.value) < budget
 
-    def test_error_self_report_halved_panels(self):
-        # halving panel width must move the value by less than the
-        # reported a-posteriori estimate
-        for z in (mpf(0), mpf(2), mpc(1, "0.5")):
-            one = eval_H_density(PHI_DENSITY, mpf(0), z, CTX, initial_panels=1)
-            two = eval_H_density(PHI_DENSITY, mpf(0), z, CTX, initial_panels=2)
-            assert abs(one.value - two.value) <= one.abs_error_estimate + two.abs_error_estimate
+    def test_phi_is_weighed_at_working_precision(self):
+        # Phi cut at the context tolerance (1e-30) left eval_H_density
+        # 2.4e-33 from xi(0), a cut no estimate carried; at working
+        # precision it is far inside tol
+        for z in (mpf(0), mpf(1), mpc("0.3", "0.2")):
+            h = eval_H_density(PHI_DENSITY, mpf(0), z, CTX)
+            xi = eval_xi_reference(z, PrecisionContext(90, mpf("1e-80")))
+            with mp.workdps(90):
+                assert abs(h.value - xi) < mpf("1e-40"), z
 
     def test_reports_metadata(self):
         h = eval_H_density(PHI_DENSITY, mpf("-0.1"), mpf(2), CTX)
