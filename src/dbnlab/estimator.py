@@ -151,8 +151,12 @@ def bisect_lambda(
 
     Requires verdict(lo) = false and verdict(hi) = true; the verdict is
     monotone in the multiplier (universal factor), so plain bisection
-    applies.  Offender location is skipped inside the loop: only the
-    boolean matters here.
+    applies.  Each verdict runs with locate_offenders=False: no offender
+    is hunted down by subdivision.  For a positive measure on a window
+    centred at the origin a false verdict still rests on a nonreal zero
+    certified by Newton-Kantorovich (see verify_all_real), as a true one
+    rests on a lower bound on the real zeros that meets the count of all
+    zeros.
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps():

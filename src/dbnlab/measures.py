@@ -14,7 +14,8 @@ named density.  An entry holds the parameter names and shapes that
 make_measure accepts, how a kind built from atoms is made from them, the
 constraint on the values, the tail set, the log-envelope g with g' and
 t_min (f(t) <= exp(-g(t)) for t >= t_min), an optional closed form for H,
-H' and -H'', and whether H is real on the real axis.  A density is
+H' and -H'', whether H is real on the real axis, and whether rho is
+positive, which gives |H''| <= -H''(iy) on |Im z| <= y.  A density is
 f = exp(-g) unless its entry gives f itself, as Phi and the Gaussian
 convolution do.  A transform is compiled once per (measure, lambda): the
 closed-form factory of the kind does all the work that does not depend on z
@@ -51,6 +52,7 @@ from mpmath import mp, mpc, mpf
 from . import numerics
 from .precision import (
     DbnlabError,
+    DomainError,
     EntirenessError,
     FieldError,
     PrecisionContext,
@@ -148,6 +150,12 @@ class EvenMeasure:
     def density_value(self, t, dps: int):
         """f(t) at t >= 0 to dps digits, for kinds that carry a density."""
         return _density_value_cached(self, t, dps)
+
+    @property
+    def positive(self) -> bool:
+        """Whether rho >= 0: true for every kind but Case6, and a
+        MultipliedMeasure takes its base's value."""
+        return _kind_of(self.base if self.kind == "MultipliedMeasure" else self).positive
 
     # -- decay envelope for tail truncation ---------------------------------
     def decay_descriptor(self) -> DecayDescriptor:
@@ -688,6 +696,8 @@ class _Kind:
     # if f is even and analytic on a strip about the real axis: it must be
     closed: callable = None
     real_on_axis: bool = True
+    # rho >= 0, so |H''| <= -H''(iy) on |Im z| <= y (second_derivative_bound)
+    positive: bool = True
     rate: str = None  # the parameter a normalized Gaussian multiplier shifts by -lam
     from_atoms: callable = None  # (base atoms, ctx, **params) -> EvenMeasure; None for densities
 
@@ -809,6 +819,7 @@ _KINDS = {
         tail=lambda p: TailSet("OpenUpTo", mpf(1)),
         closed=_case6_closed,
         real_on_axis=False,
+        positive=False,  # (1 + x) e^{-x^2} is negative for x < -1
     ),
     "Case8": _Kind(
         tail=lambda p: TailSet("ClosedUpTo", mpf(0)),
@@ -1004,23 +1015,38 @@ class TransformFunction:
         with self.ctx.workdps(10):
             self._compiled = _compile(measure, self.lam, self.ctx)
 
-    def _parts(self, z, parts):
+    def parts(self, z, parts):
+        """{part: TransformEval} at z for parts among value, deriv, moment2,
+        all from one evaluation and sharing its error estimate."""
         return eval_H_parts(self.measure, self.lam, z, self.ctx, parts, compiled=self._compiled)
 
     def __call__(self, z) -> mpc:
-        return self._parts(z, ("value",))["value"].value
+        return self.parts(z, ("value",))["value"].value
 
     def derivative(self, z) -> mpc:
-        return self._parts(z, ("deriv",))["deriv"].value
+        return self.parts(z, ("deriv",))["deriv"].value
 
     def value_and_derivative(self, z):
-        parts = self._parts(z, ("value", "deriv"))
+        parts = self.parts(z, ("value", "deriv"))
         return parts["value"].value, parts["deriv"].value
 
     def value_and_error(self, z):
         """H(z) and its absolute error estimate."""
-        te = self._parts(z, ("value",))["value"]
+        te = self.parts(z, ("value",))["value"]
         return te.value, te.abs_error_estimate
+
+    def second_derivative_bound(self, y):
+        """An upper bound on |H''| over the strip |Im z| <= y.
+
+        For a positive even rho, |H''(z)| <= int t^2 cosh(t Im z) e^{lam t^2}
+        d rho, which grows with |Im z|, so -H''(iy) bounds the strip: one
+        moment2 evaluation, returned with its own error estimate added.
+        Raises DomainError when rho is not positive.
+        """
+        if not self.measure.positive:
+            raise DomainError("|H''| has no moment bound: the measure is not positive")
+        te = self.parts(mpc(0, y), ("moment2",))["moment2"]
+        return abs(te.value) + te.abs_error_estimate
 
     def real_on_axis(self) -> bool:
         """Whether H is real-valued for real z (true for even measures)."""

@@ -18,8 +18,11 @@ axis) on a window centred at the origin both come from a quarter of the
 picture: the count from the argument change along a -> a+ib -> ib, which
 the two symmetries make even, and the lower bound from twice the sign
 changes on [0, a] whose values stand clear of their error estimates.  The
-scan stops on the first grid where the two meet.  Other transforms and
-windows use the full contour and a scan of the whole real section.
+scan stops on the first grid where the two meet.  Where they do not, a
+Newton-Kantorovich certificate at the deepest |H| minimum either proves a
+nonreal zero, which makes the verdict "not all real", or proves a close
+real pair that the grid missed.  Other transforms and windows use the full
+contour and a scan of the whole real section.
 
 Contour hygiene: a zero on or hugging the contour makes the f'/f edge
 integral non-integrable, which the adaptive quadrature reports as
@@ -70,6 +73,10 @@ MAX_LOCATE_DEPTH = 16
 #: scan over [0, a] alone uses half as many points, at the same spacing
 AXIS_POINTS = 129
 AXIS_MAX_POINTS = 16385
+#: a verdict's offenders lie more than this many times its tol off the axis
+_AXIS_CUT = 1000
+#: Newton steps a certified offender may take from its Taylor start
+_NEWTON_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -167,10 +174,28 @@ class ZeroSet:
 
 @dataclass(frozen=True)
 class RealityVerdict:
+    """The answer of verify_all_real.
+
+    window: the rectangle the verdict holds for (the requested one, or that
+        one grown where a zero hugged its contour).
+    all_real: whether every zero of H in window is real.
+    worst_offender: when not all_real, a nonreal zero closest to the axis
+        among those located, or the certified offender below; None when
+        all_real, and when the count fell short with location turned off
+        and no certificate held.
+    margin: when all_real, the half-height of window (the zero-free strip
+        it certifies on either side of the axis); otherwise |Im| of
+        worst_offender, or None without one.
+    offender_radius: r when a Newton-Kantorovich certificate proved that
+        exactly one zero lies within r of worst_offender, with r below
+        |Im worst_offender| and the disk inside window; None otherwise.
+    """
+
     window: Rectangle
     all_real: bool
     worst_offender: mpc = None
     margin: mpf = None
+    offender_radius: mpf = None
 
 
 class AnalyticFunction:
@@ -458,7 +483,11 @@ def _polish(fn, z0, multiplicity, tol, rect: Rectangle):
             return None
         if abs(step) < tol:
             return z, abs(fn(z))
-    return z, abs(fn(z))
+    # Newton about a double zero, or a pair closer than the precision
+    # resolves, ends in a cycle of small steps at the noise floor: that point
+    # stands.  Any other point after the last step is no zero, and the
+    # caller subdivides or refuses.
+    return (z, abs(fn(z))) if abs(step) < mpmath.sqrt(tol) else None
 
 
 def _moment_tol(rect: Rectangle):
@@ -618,6 +647,23 @@ def _golden_scan(fn, a, b, n, max_points):
         n = int(n * mpf("1.618")) + 1
 
 
+def _double_zero_candidates(grid):
+    """Grid points i where |f| has a local minimum below the gate with no
+    sign change on either side: the possible double zeros (or near-axis
+    nonreal pairs) of a scan.  The gate allows for grid-resolution distance
+    from a quadratic minimum."""
+    xs, vals, _, crossings, cell = grid
+    gate = (max(abs(v) for v in vals) + mpf(10) ** (-mp.dps)) * min(mpf(1), 64 * cell * cell)
+    return [
+        i
+        for i in range(1, len(xs) - 1)
+        if abs(vals[i]) < gate
+        and abs(vals[i]) <= min(abs(vals[i - 1]), abs(vals[i + 1]))
+        and i - 1 not in crossings
+        and i not in crossings
+    ]
+
+
 def _zeros_on_grid(fn, grid, tol, ctx):
     """Real zeros with multiplicity from the last grid of a scan.
 
@@ -626,12 +672,10 @@ def _zeros_on_grid(fn, grid, tol, ctx):
     count; see locate_real_zeros.
     """
     xs, vals, _, crossings, cell = grid
-    n = len(xs)
 
     def fx(x):
         return mpmath.re(fn(mpc(x, 0)))
 
-    scale = max(abs(v) for v in vals) + mpf(10) ** (-mp.dps)
     found: list = []
 
     # exact-zero grid points
@@ -657,19 +701,12 @@ def _zeros_on_grid(fn, grid, tol, ctx):
         root = (lo + hi) / 2
         found.append(LocatedZero(mpc(root, 0), 1, abs(fx(root))))
 
-    # |f| minima without sign change -> possible double zeros.  The gate
-    # allows for grid-resolution distance from a quadratic minimum; the
+    # |f| minima without sign change -> possible double zeros.  The
     # confirmation rectangle is square so its contour stays a cell away
     # from the candidate, and classification runs on the located points,
     # not on the box height.
-    gate = scale * min(mpf(1), mpf(64) * cell * cell)
     axis_accept = max(mpf("1e3") * tol, mpf(10) ** (4 - mp.dps))
-    for i in range(1, n - 1):
-        av, left, right = abs(vals[i]), abs(vals[i - 1]), abs(vals[i + 1])
-        if av >= gate or av > left or av > right:
-            continue
-        if i - 1 in crossings or i in crossings:
-            continue
+    for i in _double_zero_candidates(grid):
         zs = _tiny_rect_check(fn, xs[i] - cell, xs[i] + cell, cell, ctx, tol)
         if zs is None or zs.count == 0:
             continue
@@ -756,7 +793,12 @@ def verify_all_real(
     zero in that cell and its mirror, so twice the certified sign changes
     is a lower bound on the real zeros.  The scan stops, and the verdict
     is "all real", on the first grid where that bound meets the count; it
-    refines only while the bound is short.  A bound above the count is a
+    refines only while the bound is short.  On each grid where it is
+    short, Newton runs from the quadratic Taylor roots at the deepest |H|
+    minimum without a sign change, and Kantorovich's test on its limit
+    (see _certify_minimum) either certifies a nonreal zero, which ends the
+    verdict as "not all real", or certifies a real pair, which raises the
+    bound by four with its mirror.  A bound above the count is a
     WindingError.  If the refinement ends short, the double-zero checks of
     locate_real_zeros run on [0, a] and their count is mirrored.  A dip on
     the quarter path grows the window about the origin; a quarter count
@@ -764,11 +806,15 @@ def verify_all_real(
 
     Otherwise the winding count over the whole window is compared with a
     scan of the whole real section, or, for transforms not real-valued on
-    the axis, with a thin-strip winding.
+    the axis, with a thin-strip winding.  A real count above the winding
+    count is a WindingError here too.
 
     On mismatch the offending zeros are located by subdivision; the
     verdict carries the one closest to the axis and the margin (certified
     strip half-width when all real, closest offender distance otherwise).
+    With locate_offenders=False there is no location: a certified nonreal
+    zero is returned as the offender with its radius, and otherwise the
+    verdict carries no offender.
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps(5):
@@ -784,8 +830,11 @@ def verify_all_real(
             total, used = _retry_on_dip(
                 lambda r: _quarter_count(fn, r), window, lambda r: r.grown(mpf("1.02"))
             )
+        offender = None
         if total is not None:
-            real_count = _half_axis_count(fn, used.re_max, total, tol, ctx)
+            real_count = _half_axis_count(fn, used, total, tol, ctx)
+            if isinstance(real_count, _Offender):
+                offender, real_count = real_count, None
         else:
             total, used = _count_with_rect(fn, used, ctx)
             if fn.real_on_axis():
@@ -799,6 +848,10 @@ def verify_all_real(
                 strip = max(mpf("1e-6") * used.height, 1000 * tol)
                 strip_rect = Rectangle(used.re_min, used.re_max, -strip, strip)
                 real_count = count_zeros(fn, strip_rect, ctx)
+        if real_count is not None and real_count > total:
+            raise WindingError(
+                "%d real zeros exceed the winding count %d" % (real_count, total)
+            )
 
         if real_count == total:
             return RealityVerdict(
@@ -809,17 +862,23 @@ def verify_all_real(
             )
 
         if not locate_offenders:
-            return RealityVerdict(window=used, all_real=False)
+            if offender is None:
+                return RealityVerdict(window=used, all_real=False)
+            z, r = offender
+            return RealityVerdict(
+                window=used, all_real=False, worst_offender=z,
+                margin=abs(mpmath.im(z)), offender_radius=r,
+            )
 
         # mismatch: hunt the nonreal ones down for the report
         zs = locate_zeros(fn, used, ctx)
-        axis_cut = 1000 * tol
+        axis_cut = _AXIS_CUT * tol
         offenders = [
             z for z in zs.zeros if abs(mpmath.im(z.location)) > axis_cut
         ]
         if not offenders:
             raise WindingError(
-                "window count %d vs real count %d, but no nonreal zero could "
+                "window count %d vs real count %s, but no nonreal zero could "
                 "be isolated" % (total, real_count)
             )
         _check_quadruple_symmetry(fn, offenders, ctx)
@@ -832,18 +891,35 @@ def verify_all_real(
         )
 
 
-def _half_axis_count(fn, a, total, tol, ctx):
-    """Real zeros of an even H in (-a, a), given total zeros in the window.
+class _Offender(NamedTuple):
+    """A nonreal zero certified to lie within radius of location."""
+
+    location: mpc
+    radius: mpf
+
+
+def _half_axis_count(fn, window: Rectangle, total, tol, ctx):
+    """Real zeros of an even H in window, centred at the origin, given the
+    total zeros in it; or an _Offender that proves they are not all real.
 
     H(iy) = int cosh(yt) e^{lam t^2} d rho > 0 for a positive even rho, so
     neither the origin nor ib, where the quarter path ends, is a zero, and
-    every real zero on (0, a) has its mirror on (-a, 0).
+    every real zero on (0, a) has its mirror on (-a, 0).  A grid that leaves
+    the certified lower bound short of total first tries _certify_minimum,
+    which either ends the scan with an offender or may add a certified real
+    pair (and its mirror) to the bound.
     """
+    a = window.re_max
     for grid in _golden_scan(fn, mpf(0), a, (AXIS_POINTS + 1) // 2, (AXIS_MAX_POINTS + 1) // 2):
         v, e = grid.vals, grid.errs
         certain = 2 * sum(
             1 for i in grid.crossings if abs(v[i]) > e[i] and abs(v[i + 1]) > e[i + 1]
         )
+        if certain < total:
+            found = _certify_minimum(fn, grid, window, tol)
+            if isinstance(found, _Offender):
+                return found
+            certain += 2 * found
         if certain > total:
             raise WindingError(
                 "%d certified real zeros exceed the winding count %d" % (certain, total)
@@ -852,6 +928,89 @@ def _half_axis_count(fn, a, total, tol, ctx):
             return total
     reals = _zeros_on_grid(fn, grid, max(tol, mpf(10) ** (3 - mp.dps)), ctx)
     return 2 * sum(z.multiplicity for z in reals if abs(mpmath.im(z.location)) <= 100 * tol)
+
+
+def _certify_minimum(fn, grid, window: Rectangle, tol):
+    """Zeros next to the deepest double-zero candidate x_i of grid, proved by
+    Kantorovich's theorem: an _Offender, or the number of real zeros (0 or
+    2) certified in (x_{i-1}, x_{i+1}).  Neither cell there has a sign
+    change, so those zeros are not among the grid's certified crossings.
+
+    The quadratic Taylor step H + H' w + H'' w^2 / 2 = 0 at x_i predicts a
+    conjugate pair or two real zeros.  For a pair, Newton starts from the
+    root in the upper half plane, and its certified zero is an offender when
+    the disk lies inside window and more than _AXIS_CUT * tol off the axis.
+    For two real roots, Newton runs along the axis from each; a disk centred
+    on the axis that holds exactly one zero holds a real zero (its conjugate
+    is a zero in the same disk), so two disjoint disks inside
+    (x_{i-1}, x_{i+1}) are two real zeros.  Only a transform with a
+    second-derivative bound (a positive measure) takes part.
+    """
+    if not hasattr(fn, "second_derivative_bound"):
+        return 0
+    candidates = _double_zero_candidates(grid)
+    if not candidates:
+        return 0
+    i = min(candidates, key=lambda i: abs(grid.vals[i]))
+    x = grid.xs[i]
+    at = fn.parts(mpc(x, 0), ("value", "deriv", "moment2"))
+    h, d, m2 = (mpmath.re(at[q].value) for q in ("value", "deriv", "moment2"))  # m2 = -H''
+    if m2 == 0:
+        return 0
+    disc = d * d + 2 * h * m2  # of (m2 / 2) w^2 - d w - h = 0
+    if disc < 0:
+        z = mpc(x + d / m2, mpmath.sqrt(-disc) / abs(m2))
+        got = _kantorovich(fn, z, window, tol, along_axis=False)
+        if got is None or abs(mpmath.im(got[0])) - got[1] <= _AXIS_CUT * tol:
+            return 0
+        return _Offender(*got)
+    cells = Rectangle(grid.xs[i - 1], grid.xs[i + 1], window.im_min, window.im_max)
+    pair = [
+        _kantorovich(fn, mpc(x + (d + s * mpmath.sqrt(disc)) / m2, 0), cells, tol, along_axis=True)
+        for s in (1, -1)
+    ]
+    if None in pair or abs(pair[0][0] - pair[1][0]) <= pair[0][1] + pair[1][1]:
+        return 0
+    return 2
+
+
+def _kantorovich(fn, z, box: Rectangle, tol, along_axis):
+    """Newton from z to a zero z* of H with radius r, or None.
+
+    Newton stops once its step is below tol, and gives up when it leaves
+    box (or along_axis, where it steps along the real axis only).  With err
+    the error estimate of H and H' at z*, eta = (|H| + err) / (|H'| - err)
+    bounds |H/H'|, and M bounds |H''| on |Im| <= |Im z*| + 2 eta, which holds
+    the disk of radius r = 2 eta about z*.  Then h = M eta / (|H'| - err)
+    <= 1/2 proves exactly one zero in that disk (Kantorovich; Ortega, Amer.
+    Math. Monthly 75 (1968) 658-660).  The disk must lie inside box.
+    """
+    stop = max(tol, mpf(10) ** (3 - mp.dps))
+    for _ in range(_NEWTON_STEPS):
+        p = fn.parts(z, ("value", "deriv"))
+        v, d, err = p["value"].value, p["deriv"].value, p["value"].abs_error_estimate
+        slope = abs(d) - err
+        if slope <= 0:
+            return None
+        step = mpmath.re(v / d) if along_axis else v / d
+        if abs(step) < stop:
+            break
+        z -= step
+        if not box.contains(z):
+            return None
+    else:
+        return None
+    eta = (abs(v) + err) / slope
+    r = 2 * eta
+    if not box.contains(z, -r):
+        return None
+    try:
+        M = fn.second_derivative_bound(abs(mpmath.im(z)) + r)
+    except DomainError:
+        return None
+    if M * eta / slope > mpf(1) / 2:
+        return None
+    return z, r
 
 
 def _check_quadruple_symmetry(fn, offenders, ctx):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from dbnlab import (
+    DomainError,
     EntirenessError,
     PrecisionContext,
     apply_gaussian_multiplier,
@@ -560,7 +561,7 @@ def test_property_compiled_atoms_match_reference(pairs, integer, lam, re, im):
     m = symmetric_atoms(pairs)
     lam, z = mpf(lam), mpc(re, im)
     fn = transform_function(m, lam, LIGHT)
-    got = fn._parts(z, ("value", "deriv", "moment2"))
+    got = fn.parts(z, ("value", "deriv", "moment2"))
     with mp.workdps(50):
         _assert_parts_match(got, reference_parts(m.atoms, lam, z))
 
@@ -771,3 +772,54 @@ class TestAbsExpClosedForm:
         # the integral diverges once |Im z| >= a: refused, not continued
         with pytest.raises(TailBoundError):
             eval_H(m, 1, mpc(0, "1.5"), CTX)
+
+
+# ---------------------------------------------------------------------------
+# the second-derivative bound of a positive measure
+# ---------------------------------------------------------------------------
+
+
+def _bound_cases():
+    with LIGHT.workdps():
+        atoms = symmetric_atoms([(0, mpf(2) / 3), (1, mpf(1) / 3), (mpf("2.5"), mpf("0.2"))], LIGHT)
+        cases = [
+            ("atoms", atoms, mpf("0.3")),
+            ("convolution", convolve_gaussian(atoms, 10, LIGHT), mpf(1)),
+            ("case8", named_density("Case8", LIGHT), mpf(0)),
+            ("case8_negative", named_density("Case8", LIGHT), mpf("-0.25")),
+            ("phi_plan", named_density("RiemannPhi", LIGHT), mpf(0)),
+        ]
+    return [pytest.param(m, lam, id=name) for name, m, lam in cases]
+
+
+class TestSecondDerivativeBound:
+    @pytest.mark.parametrize("m, lam", _bound_cases())
+    @pytest.mark.parametrize("y", ["0.4", "1.5"])
+    def test_bound_covers_the_strip(self, m, lam, y):
+        # |H''| = |moment2| at points on |Im z| <= y, edges included, stays
+        # below -H''(iy) plus its estimate
+        fn = transform_function(m, lam, LIGHT)
+        with LIGHT.workdps(10):
+            y = mpf(y)
+            bound = fn.second_derivative_bound(y)
+            for x in ("0", "0.7", "1.9", "3.3", "5.1"):
+                for frac in (-1, mpf("-0.5"), 0, mpf("0.5"), 1):
+                    z = mpc(mpf(x), frac * y)
+                    assert abs(fn.parts(z, ("moment2",))["moment2"].value) <= bound, z
+
+    def test_positive_is_a_table_fact_false_only_for_case6(self):
+        assert [k for k, spec in _KINDS.items() if not spec.positive] == ["Case6"]
+        with LIGHT.workdps():
+            case6 = named_density("Case6", LIGHT)
+            phi = named_density("RiemannPhi", LIGHT)
+            assert not case6.positive and phi.positive
+            assert symmetric_atoms([(1, 1)], LIGHT).positive
+            # a MultipliedMeasure takes its base's value
+            assert not apply_gaussian_multiplier(case6, mpf("0.1"), ctx=LIGHT).positive
+            assert apply_gaussian_multiplier(phi, mpf("0.1"), ctx=LIGHT).positive
+
+    def test_case6_has_no_bound(self):
+        with LIGHT.workdps():
+            fn = transform_function(named_density("Case6", LIGHT), mpf(0), LIGHT)
+        with pytest.raises(DomainError):
+            fn.second_derivative_bound(mpf(1))

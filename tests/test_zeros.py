@@ -6,12 +6,15 @@ and near-threshold policies at its known reality threshold log 2; the
 Riemann weight supplies nontrivial quadrature-backed targets.
 """
 
+from dataclasses import replace
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from dbnlab import measures, zeros
 from dbnlab.measures import (
     convolve_gaussian,
     named_density,
@@ -28,6 +31,7 @@ from dbnlab.zeros import (
     Rectangle,
     ZeroSet,
     _half_axis_count,
+    _polish,
     _quarter_count,
     as_analytic,
     count_zeros,
@@ -39,6 +43,10 @@ from dbnlab.zeros import (
 
 def ctx30():
     return PrecisionContext(working_digits=30, target_abs_tol=mpf("1e-15"))
+
+
+def ctx_light():
+    return PrecisionContext(working_digits=20, target_abs_tol=mpf("1e-10"))
 
 
 def ctx_cheap():
@@ -353,10 +361,70 @@ class TestVerifyAllReal:
         # has error estimate 0); a count of 2 below them is a WindingError,
         # never a "not all real"
         ctx = ctx30()
+        window = Rectangle.make(-10, 10, -1, 1)
         with ctx.workdps(5):
             with pytest.raises(WindingError):
-                _half_axis_count(cosine_fn(), mpf(10), 2, mpf("1e-20"), ctx)
-            assert _half_axis_count(cosine_fn(), mpf(10), 6, mpf("1e-20"), ctx) == 6
+                _half_axis_count(cosine_fn(), window, 2, mpf("1e-20"), ctx)
+            assert _half_axis_count(cosine_fn(), window, 6, mpf("1e-20"), ctx) == 6
+
+    def test_full_route_refuses_more_real_zeros_than_the_count(self, monkeypatch):
+        # the window is not centred, so the full contour counts; a count of 0
+        # below the four real zeros of 2/3 + (e/3) cos z in it is refused
+        ctx = ctx_light()
+        window = Rectangle.make(-7, 8, -2, 2)
+        monkeypatch.setattr(zeros, "_count_with_rect", lambda f, rect, ctx: (0, rect))
+        for locate in (False, True):
+            with pytest.raises(WindingError, match="exceed the winding count"):
+                verify_all_real(two_atom_cosine(), mpf(1), window, ctx, locate_offenders=locate)
+
+    @pytest.mark.parametrize("above", ["1e-6", "1e-9"])
+    def test_near_double_real_pair_above_threshold_reaches_true(self, monkeypatch, above):
+        # just above log 2 the zeros pi +- d, d = 1.4e-3 and 4.5e-5, sit
+        # inside one cell of the first scan grid; they are certified there as
+        # two real zeros, with no double-zero hunt
+        ctx = ctx_light()
+        with ctx.workdps():
+            lam = mpmath.log(2) + mpf(above)
+            assert mp.pi - mpmath.acos(-2 * mpmath.exp(-lam)) < mpf("2e-3")
+        hunts = []
+        monkeypatch.setattr(zeros, "_tiny_rect_check", lambda *a: hunts.append(a))
+        for locate in (False, True):
+            v = verify_all_real(
+                two_atom_cosine(), lam, Rectangle.make(-8, 8, -2, 2), ctx,
+                locate_offenders=locate,
+            )
+            assert v.all_real is True and v.offender_radius is None
+        assert hunts == []
+
+    def test_a_certificate_disk_outside_the_window_falls_through(self, monkeypatch):
+        # an error estimate of 5e-3 on every value widens the certified disk
+        # about the offender pi + 0.6417i of 2/3 + (e^0.5/3) cos z to more
+        # than the 0.018 between it and the top edge at 0.66; the verdict
+        # then takes the scan and double-zero route, which finds no real
+        # zero and so no certificate
+        blurred = measures.TransformFunction.parts
+
+        def parts(self, z, which):
+            return {
+                q: replace(te, abs_error_estimate=te.abs_error_estimate + mpf("5e-3"))
+                for q, te in blurred(self, z, which).items()
+            }
+
+        monkeypatch.setattr(measures.TransformFunction, "parts", parts)
+        ctx = ctx_light()
+        with ctx.workdps():
+            y = mpmath.acosh(2 * mpmath.exp(mpf("-0.5")))
+        tall = verify_all_real(
+            two_atom_cosine(), mpf("0.5"), Rectangle.make(-6, 6, -1, 1), ctx,
+            locate_offenders=False,
+        )
+        assert tall.all_real is False and tall.offender_radius > mpf("0.66") - y
+        low = verify_all_real(
+            two_atom_cosine(), mpf("0.5"), Rectangle.make(-6, 6, "-0.66", "0.66"), ctx,
+            locate_offenders=False,
+        )
+        assert low.all_real is False
+        assert low.offender_radius is None and low.worst_offender is None
 
     def test_asymmetric_window_rejected(self):
         ctx = ctx30()
@@ -560,3 +628,44 @@ def test_property_verdict_matches_exact_two_atom_verdict(
         r = w0 / (w1 * mpmath.exp(lam * t * t))
         offender_inside = r > 1 and mp.pi / t < used.re_max and mpmath.acosh(r) / t < used.im_max
     assert v.all_real is not offender_inside
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    w0=st.floats(0.1, 3),
+    w1=st.floats(0.1, 3),
+    t=st.floats(0.5, 1.25),
+    shift=st.floats(0.05, 0.25),
+)
+def test_property_false_verdict_carries_a_certified_offender(w0, w1, t, shift):
+    """Below the two-atom threshold ln(w0/w1)/t^2 by shift, a verdict without
+    location is False and carries a Newton-Kantorovich offender whose disk
+    holds an exact zero pi(2k+1)/t +- i arccosh(w0/(w1 e^{lam t^2}))/t.  The
+    window [-2pi/t, 2pi/t] x [-2, 2] holds the zeros at k = -1 and 0."""
+    ctx = PrecisionContext(working_digits=20, target_abs_tol=mpf("1e-10"))
+    with ctx.workdps():
+        w0, w1, t = mpf(w0), mpf(w1), mpf(t)
+        lam = mpmath.log(w0 / w1) / (t * t) - mpf(shift)
+        measure = symmetric_atoms([(0, w0), (t, w1)], ctx)
+        a = 2 * mp.pi / t
+        window = Rectangle(-a, a, mpf(-2), mpf(2))
+    v = verify_all_real(measure, lam, window, ctx, locate_offenders=False)
+    assert v.all_real is False and v.offender_radius is not None
+    with mp.workdps(50):
+        y = mpmath.acosh(w0 / (w1 * mpmath.exp(lam * t * t))) / t
+        z, r = v.worst_offender, v.offender_radius
+        assert r < abs(z.imag) and v.margin == abs(z.imag)
+        exact = [mpc(sx * mp.pi / t, sy * y) for sx in (-1, 1) for sy in (-1, 1)]
+        assert min(abs(z - e) for e in exact) <= r
+
+
+def test_unconverged_newton_is_not_a_zero():
+    # Newton on z^3 - 2z + 2 from 0 cycles 0 -> 1 -> 0; after its steps run
+    # out _polish returns no point, so location subdivides instead
+    f = as_analytic(lambda z: z**3 - 2 * z + 2, lambda z: 3 * z**2 - 2)
+    with mp.workdps(30):
+        assert _polish(f, mpc(0), 1, mpf("1e-20"), Rectangle.make(-1, 2, -1, 1)) is None
+        zs = locate_zeros(f, Rectangle.make(-3, 3, -2, 2), ctx30())
+    assert zs.count == 3
+    for z in zs.zeros:
+        assert abs(f(z.location)) < mpf("1e-12")
