@@ -81,7 +81,6 @@ def scan_lambda(
     lambdas,
     window: Rectangle,
     ctx: PrecisionContext = None,
-    refine_tol=None,
 ):
     """One reality verdict per grid point, with monotonicity surveillance.
 
@@ -98,7 +97,7 @@ def scan_lambda(
         if not tail_set(measure).contains(lam):
             results.append(LambdaVerdict(lam=lam, entire=False))
             continue
-        verdict = verify_all_real(measure, lam, window, ctx, refine_tol=refine_tol)
+        verdict = verify_all_real(measure, lam, window, ctx)
         results.append(LambdaVerdict(lam=lam, entire=True, verdict=verdict))
 
     flagged = monotonicity_warnings([(r.lam, r.all_real) for r in results])
@@ -145,18 +144,16 @@ def bisect_lambda(
     window: Rectangle,
     tol,
     ctx: PrecisionContext = None,
-    refine_tol=None,
 ):
     """Flip point of the window verdict, to absolute tolerance tol.
 
     Requires verdict(lo) = false and verdict(hi) = true; the verdict is
     monotone in the multiplier (universal factor), so plain bisection
     applies.  Each verdict runs with locate_offenders=False: no offender
-    is hunted down by subdivision.  For a positive measure on a window
-    centred at the origin a false verdict still rests on a nonreal zero
-    certified by Newton-Kantorovich (see verify_all_real), as a true one
-    rests on a lower bound on the real zeros that meets the count of all
-    zeros.
+    is hunted down by subdivision.  For a positive measure a false verdict
+    still rests on a nonreal zero certified by Newton-Kantorovich (see
+    verify_all_real), as a true one rests on a lower bound on the real
+    zeros that meets the count of all zeros.
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps():
@@ -171,10 +168,7 @@ def bisect_lambda(
             raise BracketError(
                 "lambda=%s leaves the entireness range" % mpmath.nstr(lam, 10)
             )
-        v = verify_all_real(
-            measure, lam, window, ctx, refine_tol=refine_tol, locate_offenders=False
-        )
-        return v.all_real
+        return verify_all_real(measure, lam, window, ctx, locate_offenders=False).all_real
 
     if verdict(lo):
         raise BracketError(

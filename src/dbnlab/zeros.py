@@ -14,15 +14,18 @@ public surface:
 
 A verdict proves "all real" when a certified lower bound on the real zeros
 meets a certified count of all zeros.  For an even transform (real on the
-axis) on a window centred at the origin both come from a quarter of the
-picture: the count from the argument change along a -> a+ib -> ib, which
-the two symmetries make even, and the lower bound from twice the sign
-changes on [0, a] whose values stand clear of their error estimates.  The
-scan stops on the first grid where the two meet.  Where they do not, a
-Newton-Kantorovich certificate at the deepest |H| minimum either proves a
-nonreal zero, which makes the verdict "not all real", or proves a close
-real pair that the grid missed.  Other transforms and windows use the full
-contour and a scan of the whole real section.
+axis) on a window symmetric about the axis both come from the upper half
+of the picture: the count from the argument change along re_max ->
+re_max+ib -> re_min+ib -> re_min, and the lower bound from the sign
+changes on [re_min, re_max] whose values stand clear of their error
+estimates.  A window centred at the origin needs only a quarter: the path
+a -> a+ib -> ib, whose count the two symmetries make even, and twice the
+sign changes on [0, a].  The scan stops on the first grid where count and
+bound meet.  Where they do not, a Newton-Kantorovich certificate at the
+deepest |H| minimum either proves a nonreal zero, which makes the verdict
+"not all real", or proves a close real pair that the grid missed.  A
+transform not real on the axis takes the full contour and a thin-strip
+count about the axis.
 
 Contour hygiene: a zero on or hugging the contour makes the f'/f edge
 integral non-integrable, which the adaptive quadrature reports as
@@ -238,9 +241,8 @@ def as_analytic(f, df=None, real_on_axis=True):
 
 
 class _ContourDip(Exception):
-    def __init__(self, where, ratio):
+    def __init__(self, where):
         self.where = where
-        self.ratio = ratio
 
 
 class _EvaluatorFailed(Exception):
@@ -266,13 +268,11 @@ def _edge_pass(fn, za, zb, abs_tol, n_moments, stats):
         except QuadratureError as e:
             raise _EvaluatorFailed(e) from e
         av = abs(v)
-        if av > stats["max"]:
-            stats["max"] = av
         if av < stats["min"]:
             stats["min"] = av
             stats["argmin"] = z
         if av == 0:
-            raise _ContourDip(z, mpf(0))
+            raise _ContourDip(z)
         r = d / v * dz
         if n_moments == 2:
             return (r, z * r, z * z * r)
@@ -289,10 +289,7 @@ def _edge_pass(fn, za, zb, abs_tol, n_moments, stats):
     except QuadratureError:
         # a non-integrable spike on the edge means a zero sits on or
         # hugs the contour: hand control to the perturb-and-retry loop
-        ratio = (
-            stats["min"] / stats["max"] if stats["max"] > 0 else mpf(0)
-        )
-        raise _ContourDip(stats["argmin"], ratio)
+        raise _ContourDip(stats["argmin"])
     return vals, err, n
 
 
@@ -301,7 +298,7 @@ def _path_pass(fn, path, perim, abs_tol, n_moments=0):
 
     Each edge gets the share of abs_tol that its length has of perim.
     """
-    stats = {"min": mpf("inf"), "max": mpf(0), "argmin": None}
+    stats = {"min": mpf("inf"), "argmin": None}
     totals = [mpc(0)] * (1 + n_moments)
     err_total = mpf(0)
     for a, b in zip(path, path[1:]):
@@ -403,23 +400,29 @@ def _count_recursive(fn, rect: Rectangle, depth: int) -> int:
     return sum(_count_recursive(fn, sub, depth + 1) for sub in _subrects(rect, xc, yc))
 
 
-def _quarter_count(fn, rect: Rectangle):
-    """Zeros of an even f, real on the axis, in a rect centred at the origin.
+def _symmetric_count(fn, rect: Rectangle):
+    """Zeros of f, real on the axis, in a rect symmetric about it (f even
+    when rect is centred at the origin).
 
-    f(-z) = f(z) and f(conj z) = conj f(z) carry the path a -> a+ib -> ib
-    onto the other three quarters of the contour, each with the same
+    f(conj z) = conj f(z) carries the half path re_max -> re_max+ib ->
+    re_min+ib -> re_min onto the lower half of the contour with the same
     argument change D = Im int f'/f dz, so the winding number is
-    4D/(2 pi) = 2D/pi.  f(a) and f(ib) are real, so D is a multiple of pi
-    and the count is even.  Each edge gets the tolerance per unit length
-    that _contour_pass gives it.  Returns None when 2D/pi is not within
-    WINDING_SLACK of an even integer.
+    2D/(2 pi) = D/pi.  f(re_max) and f(re_min) are real, so D is a multiple
+    of pi.  When rect is centred at the origin, f(-z) = f(z) also carries
+    the quarter path a -> a+ib -> ib onto the other half of the upper one;
+    the winding number is 2D/pi, and it is even because f(ib) is real.
+    Each edge gets the tolerance per unit length that _contour_pass gives
+    it.  Returns None when the winding is not within WINDING_SLACK of an
+    integer (an even one on the quarter path).
     """
     a, b = rect.re_max, rect.im_max
-    (total,), _ = _path_pass(
-        fn, (mpc(a, 0), mpc(a, b), mpc(0, b)), 2 * (rect.width + rect.height), WINDING_SLACK
-    )
-    w = 2 * total.imag / mp.pi
-    n = 2 * int(mpmath.nint(w / 2))
+    if rect.centered_at_origin():
+        path, turns = (mpc(a, 0), mpc(a, b), mpc(0, b)), 2
+    else:
+        path, turns = (mpc(a, 0), mpc(a, b), mpc(rect.re_min, b), mpc(rect.re_min, 0)), 1
+    (total,), _ = _path_pass(fn, path, 2 * (rect.width + rect.height), WINDING_SLACK)
+    w = turns * total.imag / mp.pi
+    n = turns * int(mpmath.nint(w / turns))
     if abs(w - n) > WINDING_SLACK:
         return None
     if n < 0:
@@ -442,21 +445,21 @@ def _retry_on_dip(count, rect: Rectangle, widen):
     )
 
 
+def _nudge(rect: Rectangle) -> Rectangle:
+    return rect.nudged(mpf("1.02"), mpf("0.005"), mpf("0.003"))
+
+
 def _count_with_rect(f, rect: Rectangle, ctx: PrecisionContext):
     fn = as_analytic(f)
     with ctx.workdps(5):
-        return _retry_on_dip(
-            lambda r: _count_recursive(fn, r, 0),
-            rect,
-            lambda r: r.nudged(mpf("1.02"), mpf("0.005"), mpf("0.003")),
-        )
+        return _retry_on_dip(lambda r: _count_recursive(fn, r, 0), rect, _nudge)
 
 
 def count_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> int:
     """Winding number of f around rect, certified to sit near an integer.
 
-    The rectangle is grown by 1% (up to five times) if a zero sits on or
-    hugs the contour; non-integer winding triggers quadrisection with
+    The rectangle is grown by 2% and shifted off its centre (up to five
+    times) if a zero sits on or hugs the contour; non-integer winding triggers quadrisection with
     zero-avoiding split lines, and the pieces are summed.
     """
     ctx = ctx or PrecisionContext()
@@ -470,7 +473,12 @@ def count_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> int:
 
 
 def _polish(fn, z0, multiplicity, tol, rect: Rectangle):
-    z = mpc(z0)
+    # Newton about a double zero, or a pair closer than the precision
+    # resolves, ends in a cycle of small steps at the noise floor: once a
+    # step below floor is no smaller than the one before, the point it
+    # would leave stands.  Any other point after the last step is no zero,
+    # and the caller subdivides or refuses.
+    z, floor, last = mpc(z0), mpmath.sqrt(tol), mpf("inf")
     for _ in range(60):
         v, d = fn.value_and_derivative(z)
         if v == 0:
@@ -478,16 +486,16 @@ def _polish(fn, z0, multiplicity, tol, rect: Rectangle):
         if d == 0:
             return None
         step = multiplicity * v / d
+        size = abs(step)
+        if last <= size < floor:
+            return z, abs(v)
         z = z - step
         if not rect.grown(mpf(3)).contains(z):
             return None
-        if abs(step) < tol:
+        if size < tol:
             return z, abs(fn(z))
-    # Newton about a double zero, or a pair closer than the precision
-    # resolves, ends in a cycle of small steps at the noise floor: that point
-    # stands.  Any other point after the last step is no zero, and the
-    # caller subdivides or refuses.
-    return (z, abs(fn(z))) if abs(step) < mpmath.sqrt(tol) else None
+        last = size
+    return (z, abs(fn(z))) if size < floor else None
 
 
 def _moment_tol(rect: Rectangle):
@@ -561,17 +569,15 @@ def locate_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> ZeroSet:
     count, used = _count_with_rect(fn, rect, ctx)
     with ctx.workdps(5):
         loc_tol = mpf(10) ** (-min(ctx.tol_digits, 25))
+
+        def locate(r):
+            out: list = []
+            _locate_recursive(fn, r, 0, loc_tol, out)
+            return out
+
         zeros: list = []
         if count:
-            for _try in range(MAX_GROW_TRIES):
-                try:
-                    _locate_recursive(fn, used, 0, loc_tol, zeros)
-                    break
-                except _ContourDip:
-                    zeros = []
-                    used = used.nudged(mpf("1.02"), mpf("0.005"), mpf("0.003"))
-            else:
-                raise ContourError("zero location kept hitting contour dips")
+            zeros, used = _retry_on_dip(locate, used, _nudge)
         total = sum(z.multiplicity for z in zeros)
         if total != count:
             raise WindingError(
@@ -584,20 +590,6 @@ def locate_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> ZeroSet:
 # ---------------------------------------------------------------------------
 # real-axis scan
 # ---------------------------------------------------------------------------
-
-
-def _tiny_rect_check(fn, x_lo, x_hi, im_half, ctx, loc_tol):
-    """Winding-based confirmation used for suspected double zeros.
-
-    Returns located zeros inside [x_lo, x_hi] x [-im_half, im_half], or None
-    when the check cannot run (zero pinned to the tiny contour).
-    """
-    rect = Rectangle(x_lo, x_hi, -im_half, im_half)
-    try:
-        zs = locate_zeros(fn, rect, ctx)
-    except ContourError:
-        return None
-    return zs
 
 
 class _Grid(NamedTuple):
@@ -701,18 +693,18 @@ def _zeros_on_grid(fn, grid, tol, ctx):
         root = (lo + hi) / 2
         found.append(LocatedZero(mpc(root, 0), 1, abs(fx(root))))
 
-    # |f| minima without sign change -> possible double zeros.  The
-    # confirmation rectangle is square so its contour stays a cell away
-    # from the candidate, and classification runs on the located points,
-    # not on the box height.
+    # |f| minima without sign change -> possible double zeros, confirmed by
+    # locating the zeros about them (skipped when one is pinned to the
+    # contour).  The confirmation rectangle is square so its contour stays a
+    # cell away from the candidate, and classification runs on the located
+    # points, not on the box height.
     axis_accept = max(mpf("1e3") * tol, mpf(10) ** (4 - mp.dps))
     for i in _double_zero_candidates(grid):
-        zs = _tiny_rect_check(fn, xs[i] - cell, xs[i] + cell, cell, ctx, tol)
-        if zs is None or zs.count == 0:
+        try:
+            zs = locate_zeros(fn, Rectangle(xs[i] - cell, xs[i] + cell, -cell, cell), ctx)
+        except ContourError:
             continue
-        for z in zs.zeros:
-            if abs(mpmath.im(z.location)) <= axis_accept:
-                found.append(z)
+        found += [z for z in zs.zeros if abs(mpmath.im(z.location)) <= axis_accept]
 
     found.sort(key=lambda z: mpmath.re(z.location))
     # de-duplicate anything the scan found twice
@@ -733,14 +725,7 @@ def _zeros_on_grid(fn, grid, tol, ctx):
     return out
 
 
-def locate_real_zeros(
-    f,
-    interval,
-    ctx: PrecisionContext = None,
-    refine_tol=None,
-    initial_points: int = AXIS_POINTS,
-    max_points: int = AXIS_MAX_POINTS,
-):
+def locate_real_zeros(f, interval, ctx: PrecisionContext = None, refine_tol=None):
     """Real zeros of f on [a, b], with multiplicity, via sign-change scan.
 
     The crossing count is stabilized under golden-ratio grid refinement:
@@ -762,7 +747,7 @@ def locate_real_zeros(
             raise DomainError("empty interval")
         tol = mpf(refine_tol) if refine_tol is not None else ctx.target_abs_tol
         tol = max(tol, mpf(10) ** (3 - mp.dps))
-        for grid in _golden_scan(fn, a, b, initial_points, max_points):
+        for grid in _golden_scan(fn, a, b, AXIS_POINTS, AXIS_MAX_POINTS):
             pass
         return _zeros_on_grid(fn, grid, tol, ctx)
 
@@ -777,37 +762,37 @@ def verify_all_real(
     lam,
     window: Rectangle,
     ctx: PrecisionContext = None,
-    refine_tol=None,
     locate_offenders: bool = True,
 ) -> RealityVerdict:
     """Certify (window-relative) that every zero of H in window is real.
 
     A count of all zeros in the window is compared against the real-axis
-    count with multiplicity.
+    count with multiplicity, each to the tolerance 10^-min(tol_digits, 20).
 
-    When H is real on the axis (so even) and the window is centred at the
-    origin, the zeros come in quadruples {z, -z, conj z, -conj z}.  The
-    count is then the winding along a quarter of the contour (see
-    _quarter_count), and the scan covers [0, a] alone.  A sign change
-    between grid values whose |H| exceeds H's error estimate proves a real
-    zero in that cell and its mirror, so twice the certified sign changes
-    is a lower bound on the real zeros.  The scan stops, and the verdict
-    is "all real", on the first grid where that bound meets the count; it
-    refines only while the bound is short.  On each grid where it is
-    short, Newton runs from the quadratic Taylor roots at the deepest |H|
-    minimum without a sign change, and Kantorovich's test on its limit
-    (see _certify_minimum) either certifies a nonreal zero, which ends the
-    verdict as "not all real", or certifies a real pair, which raises the
-    bound by four with its mirror.  A bound above the count is a
-    WindingError.  If the refinement ends short, the double-zero checks of
-    locate_real_zeros run on [0, a] and their count is mirrored.  A dip on
-    the quarter path grows the window about the origin; a quarter count
-    that misses an even integer falls back to the route below.
+    When H is real on the axis (so even), its zeros come in conjugate
+    pairs.  The count is then the winding along the upper half of the
+    contour, or along a quarter of it when the window is centred at the
+    origin (see _symmetric_count), and the scan covers [re_min, re_max], or
+    [0, a] counted twice (see _axis_count).  A sign change between grid
+    values whose |H| exceeds H's error estimate proves a real zero in that
+    cell, so the certified sign changes give a lower bound on the real
+    zeros.  The scan stops, and the verdict is "all real", on the first
+    grid where that bound meets the count; it refines only while the bound
+    is short.  On each grid where it is short, Newton runs from the
+    quadratic Taylor roots at the deepest |H| minimum without a sign
+    change, and Kantorovich's test on its limit (see _certify_minimum)
+    either certifies a nonreal zero, which ends the verdict as "not all
+    real", or certifies a real pair, which raises the bound.  A bound above
+    the count is a WindingError.  If the refinement ends short, the
+    double-zero checks of locate_real_zeros run on the scanned interval.
+    A dip on the path grows the window about its centre, keeping its
+    symmetry; a path count that misses an integer falls back to the
+    winding over the whole window, which may nudge it off the axis, and
+    then the scan covers the whole real section.
 
-    Otherwise the winding count over the whole window is compared with a
-    scan of the whole real section, or, for transforms not real-valued on
-    the axis, with a thin-strip winding.  A real count above the winding
-    count is a WindingError here too.
+    A transform not real-valued on the axis compares the winding over the
+    whole window with a thin-strip winding about the axis.  A real count
+    above the winding count is a WindingError here too.
 
     On mismatch the offending zeros are located by subdivision; the
     verdict carries the one closest to the axis and the margin (certified
@@ -821,33 +806,22 @@ def verify_all_real(
         if not window.symmetric_about_axis():
             raise DomainError("verification window must be symmetric about the real axis")
         fn = transform_function(measure, lam, ctx)
-        tol = mpf(refine_tol) if refine_tol is not None else mpf(10) ** (
-            -min(ctx.tol_digits, 20)
-        )
-        total, used = None, window
-        if fn.real_on_axis() and window.centered_at_origin():
-            # a dip grows the window about the origin, keeping its symmetry
-            total, used = _retry_on_dip(
-                lambda r: _quarter_count(fn, r), window, lambda r: r.grown(mpf("1.02"))
-            )
+        tol = mpf(10) ** (-min(ctx.tol_digits, 20))
         offender = None
-        if total is not None:
-            real_count = _half_axis_count(fn, used, total, tol, ctx)
+        if fn.real_on_axis():
+            # a dip grows the window about its centre, keeping its symmetry
+            total, used = _retry_on_dip(
+                lambda r: _symmetric_count(fn, r), window, lambda r: r.grown(mpf("1.02"))
+            )
+            if total is None:
+                total, used = _count_with_rect(fn, used, ctx)
+            real_count = _axis_count(fn, used, total, tol, ctx)
             if isinstance(real_count, _Offender):
                 offender, real_count = real_count, None
         else:
-            total, used = _count_with_rect(fn, used, ctx)
-            if fn.real_on_axis():
-                reals = locate_real_zeros(
-                    fn, (used.re_min, used.re_max), ctx, refine_tol=tol
-                )
-                real_count = sum(
-                    z.multiplicity for z in reals if abs(mpmath.im(z.location)) <= 100 * tol
-                )
-            else:
-                strip = max(mpf("1e-6") * used.height, 1000 * tol)
-                strip_rect = Rectangle(used.re_min, used.re_max, -strip, strip)
-                real_count = count_zeros(fn, strip_rect, ctx)
+            total, used = _count_with_rect(fn, window, ctx)
+            strip = max(mpf("1e-6") * used.height, 1000 * tol)
+            real_count = count_zeros(fn, Rectangle(used.re_min, used.re_max, -strip, strip), ctx)
         if real_count is not None and real_count > total:
             raise WindingError(
                 "%d real zeros exceed the winding count %d" % (real_count, total)
@@ -881,7 +855,7 @@ def verify_all_real(
                 "window count %d vs real count %s, but no nonreal zero could "
                 "be isolated" % (total, real_count)
             )
-        _check_quadruple_symmetry(fn, offenders, ctx)
+        _check_quadruple_symmetry(fn, offenders)
         worst = min(offenders, key=lambda z: abs(mpmath.im(z.location)))
         return RealityVerdict(
             window=used,
@@ -898,28 +872,33 @@ class _Offender(NamedTuple):
     radius: mpf
 
 
-def _half_axis_count(fn, window: Rectangle, total, tol, ctx):
-    """Real zeros of an even H in window, centred at the origin, given the
-    total zeros in it; or an _Offender that proves they are not all real.
+def _axis_count(fn, window: Rectangle, total, tol, ctx):
+    """Real zeros of an even H in window, given the total zeros in it; or an
+    _Offender that proves they are not all real.
 
-    H(iy) = int cosh(yt) e^{lam t^2} d rho > 0 for a positive even rho, so
-    neither the origin nor ib, where the quarter path ends, is a zero, and
-    every real zero on (0, a) has its mirror on (-a, 0).  A grid that leaves
-    the certified lower bound short of total first tries _certify_minimum,
-    which either ends the scan with an offender or may add a certified real
-    pair (and its mirror) to the bound.
+    The scan covers [re_min, re_max], or [0, a] when window is centred at
+    the origin.  There every real zero on (0, a) has its mirror on (-a, 0),
+    and H(iy) = int cosh(yt) e^{lam t^2} d rho > 0 for a positive even rho,
+    so neither the origin nor ib, where the quarter path ends, is a zero:
+    each zero found counts twice.  A grid that leaves the certified lower
+    bound short of total first tries _certify_minimum, which either ends
+    the scan with an offender or may add a certified real pair to the
+    bound.
     """
-    a = window.re_max
-    for grid in _golden_scan(fn, mpf(0), a, (AXIS_POINTS + 1) // 2, (AXIS_MAX_POINTS + 1) // 2):
+    if window.centered_at_origin():
+        lo, mirrors, points = mpf(0), 2, ((AXIS_POINTS + 1) // 2, (AXIS_MAX_POINTS + 1) // 2)
+    else:
+        lo, mirrors, points = window.re_min, 1, (AXIS_POINTS, AXIS_MAX_POINTS)
+    for grid in _golden_scan(fn, lo, window.re_max, *points):
         v, e = grid.vals, grid.errs
-        certain = 2 * sum(
+        certain = mirrors * sum(
             1 for i in grid.crossings if abs(v[i]) > e[i] and abs(v[i + 1]) > e[i + 1]
         )
         if certain < total:
             found = _certify_minimum(fn, grid, window, tol)
             if isinstance(found, _Offender):
                 return found
-            certain += 2 * found
+            certain += mirrors * found
         if certain > total:
             raise WindingError(
                 "%d certified real zeros exceed the winding count %d" % (certain, total)
@@ -927,7 +906,7 @@ def _half_axis_count(fn, window: Rectangle, total, tol, ctx):
         if certain == total:
             return total
     reals = _zeros_on_grid(fn, grid, max(tol, mpf(10) ** (3 - mp.dps)), ctx)
-    return 2 * sum(z.multiplicity for z in reals if abs(mpmath.im(z.location)) <= 100 * tol)
+    return mirrors * sum(z.multiplicity for z in reals if abs(mpmath.im(z.location)) <= 100 * tol)
 
 
 def _certify_minimum(fn, grid, window: Rectangle, tol):
@@ -1013,7 +992,7 @@ def _kantorovich(fn, z, box: Rectangle, tol, along_axis):
     return z, r
 
 
-def _check_quadruple_symmetry(fn, offenders, ctx):
+def _check_quadruple_symmetry(fn, offenders):
     """Nonreal zeros of an even real-on-axis transform come in quadruples
     {z, -z, conj z, -conj z}; spot-check the mirrors by direct evaluation."""
     if not fn.real_on_axis():

@@ -92,7 +92,7 @@ class TestScanLambda:
             mpf("0.875"): True,
         }
 
-        def fake_verify(measure, lam, window, ctx, refine_tol=None, **kw):
+        def fake_verify(measure, lam, window, ctx, **kw):
             return RealityVerdict(window=window, all_real=fake[lam])
 
         monkeypatch.setattr(est, "verify_all_real", fake_verify)

@@ -30,9 +30,9 @@ from dbnlab.precision import (
 from dbnlab.zeros import (
     Rectangle,
     ZeroSet,
-    _half_axis_count,
+    _axis_count,
     _polish,
-    _quarter_count,
+    _symmetric_count,
     as_analytic,
     count_zeros,
     locate_real_zeros,
@@ -248,9 +248,7 @@ class TestLocateRealZeros:
         ctx = ctx_cheap()
         with ctx.workdps(0):
             fn = transform_function(named_density("RiemannPhi", ctx), mpf(0), ctx)
-            roots = locate_real_zeros(
-                fn, (10, 25), ctx, refine_tol=mpf("1e-9"), initial_points=65
-            )
+            roots = locate_real_zeros(fn, (10, 25), ctx, refine_tol=mpf("1e-9"))
             assert len(roots) == 2
             assert abs(roots[0].location.real - mpf("14.134725")) < mpf("1e-6")
             assert abs(roots[1].location.real - mpf("21.022040")) < mpf("1e-6")
@@ -364,18 +362,40 @@ class TestVerifyAllReal:
         window = Rectangle.make(-10, 10, -1, 1)
         with ctx.workdps(5):
             with pytest.raises(WindingError):
-                _half_axis_count(cosine_fn(), window, 2, mpf("1e-20"), ctx)
-            assert _half_axis_count(cosine_fn(), window, 6, mpf("1e-20"), ctx) == 6
+                _axis_count(cosine_fn(), window, 2, mpf("1e-20"), ctx)
+            assert _axis_count(cosine_fn(), window, 6, mpf("1e-20"), ctx) == 6
 
     def test_full_route_refuses_more_real_zeros_than_the_count(self, monkeypatch):
-        # the window is not centred, so the full contour counts; a count of 0
+        # the window is not centred, so the half path counts; a count of 0
         # below the four real zeros of 2/3 + (e/3) cos z in it is refused
         ctx = ctx_light()
         window = Rectangle.make(-7, 8, -2, 2)
-        monkeypatch.setattr(zeros, "_count_with_rect", lambda f, rect, ctx: (0, rect))
+        monkeypatch.setattr(zeros, "_symmetric_count", lambda fn, rect: 0)
         for locate in (False, True):
             with pytest.raises(WindingError, match="exceed the winding count"):
                 verify_all_real(two_atom_cosine(), mpf(1), window, ctx, locate_offenders=locate)
+
+    @pytest.mark.parametrize("re_min, re_max", [(-8, 8), (-5, 9)])
+    def test_a_path_count_off_an_integer_falls_back_to_the_whole_contour(
+        self, monkeypatch, re_min, re_max
+    ):
+        # with the path count refused, the winding over the whole window
+        # counts instead, once per verdict, and the axis scan meets it on
+        # both sides of log 2 on a centred and an off-centre window
+        counts, whole = [], zeros._count_with_rect
+
+        def recorded(f, rect, ctx):
+            counts.append(rect)
+            return whole(f, rect, ctx)
+
+        monkeypatch.setattr(zeros, "_symmetric_count", lambda fn, rect: None)
+        monkeypatch.setattr(zeros, "_count_with_rect", recorded)
+        ctx = ctx_light()
+        window = Rectangle.make(re_min, re_max, -2, 2)
+        for lam, want in (("1", True), ("0.5", False)):
+            v = verify_all_real(two_atom_cosine(), mpf(lam), window, ctx, locate_offenders=False)
+            assert v.all_real is want
+        assert counts == [window, window]
 
     @pytest.mark.parametrize("above", ["1e-6", "1e-9"])
     def test_near_double_real_pair_above_threshold_reaches_true(self, monkeypatch, above):
@@ -386,8 +406,13 @@ class TestVerifyAllReal:
         with ctx.workdps():
             lam = mpmath.log(2) + mpf(above)
             assert mp.pi - mpmath.acos(-2 * mpmath.exp(-lam)) < mpf("2e-3")
-        hunts = []
-        monkeypatch.setattr(zeros, "_tiny_rect_check", lambda *a: hunts.append(a))
+        hunts, hunt = [], zeros.locate_zeros
+
+        def recorded(*args):
+            hunts.append(args)
+            return hunt(*args)
+
+        monkeypatch.setattr(zeros, "locate_zeros", recorded)
         for locate in (False, True):
             v = verify_all_real(
                 two_atom_cosine(), lam, Rectangle.make(-8, 8, -2, 2), ctx,
@@ -504,11 +529,12 @@ def _zeros_up_to(factor, reach):
 
 
 def _exact_count(factors, rect):
+    reach = max(abs(rect.re_min), abs(rect.re_max)) + 1
     return sum(
         1
         for f in factors
-        for z in _zeros_up_to(f, rect.re_max + 1)
-        if abs(z.real) < rect.re_max and abs(z.imag) < rect.im_max
+        for z in _zeros_up_to(f, reach)
+        if rect.re_min < z.real < rect.re_max and abs(z.imag) < rect.im_max
     )
 
 
@@ -539,6 +565,9 @@ COSINE_FACTOR = st.tuples(
     st.floats(0.5, 2.5),  # t
 ).filter(lambda f: abs(f[0] / f[1] - 1) > 0.05)
 
+#: centre of a window symmetric about the axis: the origin, or off it
+WINDOW_CENTRE = st.one_of(st.just(0.0), st.floats(-4, 4))
+
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -548,35 +577,37 @@ COSINE_FACTOR = st.tuples(
     hug=st.sampled_from([None, "re", "im"]),
     hug_index=st.integers(0, 50),
     gap=st.sampled_from(["1e-4", "-1e-4", "3e-5", "-3e-5"]),
+    centre=WINDOW_CENTRE,
 )
 def test_property_quarter_count_matches_exact_zeros(
-    factors, half_width, half_height, hug, hug_index, gap
+    factors, half_width, half_height, hug, hug_index, gap, centre
 ):
-    """The quarter-contour count of w0 + w1 cos(tz) and of products of two
-    such factors against their exact zero sets, on windows centred at the
-    origin; hug moves the right or the top edge to within |gap| of a zero.
+    """The path count of w0 + w1 cos(tz) and of products of two such
+    factors against their exact zero sets, on windows symmetric about the
+    axis: centred at the origin (the quarter path) or off it (the half
+    path).  hug moves the right or the top edge to within |gap| of a zero.
     The full contour of count_zeros is held to the same count on windows
     that hug no zero: it misses a zero that hugs the middle of an edge
     (see test_full_contour_misses_a_zero_hugging_an_edge_midpoint)."""
     ctx = PrecisionContext(working_digits=20, target_abs_tol=mpf("1e-10"))
     with ctx.workdps(5):
         factors = [tuple(mpf(v) for v in f) for f in factors]
-        a, b = mpf(half_width), mpf(half_height)
+        c, a, b = mpf(centre), mpf(half_width), mpf(half_height)
         if hug is not None:
             near = [
-                z for f in factors for z in _zeros_up_to(f, a + 1)
-                if z.real > 0 and (hug == "re" or z.imag > 0)
+                z for f in factors for z in _zeros_up_to(f, abs(c) + a + 1)
+                if z.real > c and (hug == "re" or z.imag > 0)
             ]
             if near:
                 z = near[hug_index % len(near)]
                 if hug == "re":
-                    a = z.real + mpf(gap)
+                    a = z.real - c + mpf(gap)
                 else:
                     b = z.imag + mpf(gap)
-        rect = Rectangle(-a, a, -b, b)
+        rect = Rectangle(c - a, c + a, -b, b)
         fn = _cosine_product(factors)
         want = _exact_count(factors, rect)
-        assert _quarter_count(fn, rect) == want
+        assert _symmetric_count(fn, rect) == want
     if hug is None:
         assert count_zeros(fn, rect, ctx) == want
 
@@ -593,7 +624,7 @@ def test_full_contour_misses_a_zero_hugging_an_edge_midpoint():
         a = 2 * mp.pi / 3 + mpf("1e-4")
         rect = Rectangle(-a, a, mpf(-1), mpf(1))
         fn = _cosine_product([(mpf(1), mpf(2), mpf(1))])
-        assert _quarter_count(fn, rect) == 2
+        assert _symmetric_count(fn, rect) == 2
     assert count_zeros(fn, rect, ctx) == 2
 
 
@@ -606,27 +637,36 @@ def test_full_contour_misses_a_zero_hugging_an_edge_midpoint():
     above=st.booleans(),
     half_width=st.floats(2, 10),
     half_height=st.floats(0.2, 3),
+    centre=WINDOW_CENTRE,
 )
 def test_property_verdict_matches_exact_two_atom_verdict(
-    w0, w1, t, shift, above, half_width, half_height
+    w0, w1, t, shift, above, half_width, half_height, centre
 ):
     """verify_all_real on the two-atom measure w0 at 0, w1 at +-t, whose
     H = w0 + w1 e^{lam t^2} cos(tz) has only real zeros from
-    lam = ln(w0/w1)/t^2 on; lam is drawn at least 0.05 from there."""
+    lam = ln(w0/w1)/t^2 on; lam is drawn at least 0.05 from there.  The
+    window is centred at the origin or off it."""
     ctx = PrecisionContext(working_digits=20, target_abs_tol=mpf("1e-10"))
     with ctx.workdps():
         w0, w1, t = mpf(w0), mpf(w1), mpf(t)
         threshold = mpmath.log(w0 / w1) / (t * t)
         lam = threshold + mpf(shift) if above else threshold - mpf(shift)
         measure = symmetric_atoms([(0, w0), (t, w1)], ctx)
-        window = Rectangle.make(-half_width, half_width, -half_height, half_height)
+        window = Rectangle.make(
+            centre - half_width, centre + half_width, -half_height, half_height
+        )
     v = verify_all_real(measure, lam, window, ctx, locate_offenders=False)
     with ctx.workdps():
         used = v.window
-        assert used.centered_at_origin()
-        # nonreal zeros sit at odd multiples of pi/t, height arccosh(r)/t
+        if centre == 0:
+            assert used.centered_at_origin()
+        else:
+            assert used.symmetric_about_axis()
+        # nonreal zeros sit at odd multiples of pi/t, height arccosh(r)/t;
+        # x is the first of them right of re_min
         r = w0 / (w1 * mpmath.exp(lam * t * t))
-        offender_inside = r > 1 and mp.pi / t < used.re_max and mpmath.acosh(r) / t < used.im_max
+        x = (2 * mpmath.floor((used.re_min * t / mp.pi + 1) / 2) + 1) * mp.pi / t
+        offender_inside = r > 1 and x < used.re_max and mpmath.acosh(r) / t < used.im_max
     assert v.all_real is not offender_inside
 
 
@@ -669,3 +709,27 @@ def test_unconverged_newton_is_not_a_zero():
     assert zs.count == 3
     for z in zs.zeros:
         assert abs(f(z.location)) < mpf("1e-12")
+
+
+def test_double_zero_polish_stops_at_the_noise_floor():
+    # Newton with multiplicity 2 about the double zero pi of the two-atom
+    # transform at log 2, (2/3)(1 + cos z), settles at a constant step far
+    # above tol = 1e-15, as in locate_real_zeros under ctx30; it stops there
+    # instead of spending all 60 steps
+    ctx = ctx30()
+    with ctx.workdps(5):
+        fn = transform_function(two_atom_cosine(), mpmath.log(2), ctx)
+        steps = []
+
+        class Counted:
+            def value_and_derivative(self, z):
+                steps.append(z)
+                return fn.value_and_derivative(z)
+
+            def __call__(self, z):
+                return fn(z)
+
+        box = Rectangle(mp.pi - mpf("0.1"), mp.pi + mpf("0.1"), mpf("-0.1"), mpf("0.1"))
+        z, _ = _polish(Counted(), mp.pi + mpf("1e-3"), 2, mpf("1e-15"), box)
+        assert len(steps) <= 10
+        assert abs(z - mp.pi) < mpf("1e-10")
