@@ -2,9 +2,12 @@
 principle.
 
 The central object is a winding integral (1/2pi i) oint f'/f over rectangle
-contours, together with its first two moments (Delves-Lyness), which give
-closed-form root locations once a rectangle holds at most two zeros.  The
-public surface:
+contours, together with the power sums of the zeros inside (Delves-Lyness,
+Math. Comp. 21, 1967), which give all root locations of a rectangle that
+holds at most MAX_POWER_SUMS = 8 zeros: Newton's identities turn them into
+a polynomial whose roots seed Newton.  A rectangle with more zeros, or
+whose roots do not polish to distinct zeros inside it, is quadrisected.
+The public surface:
 
   count_zeros        winding count over a rectangle, integer-certified
   locate_zeros       full ZeroSet for a rectangle (count + located roots)
@@ -32,8 +35,10 @@ integral non-integrable, which the adaptive quadrature reports as
 divergence; the top-level rectangle is then grown slightly and retried.
 (A sampled min/max ratio test would misfire here: zero-free transforms
 near an entireness boundary legitimately span 50+ orders of magnitude
-along one edge.)  Internal subdivision lines are jittered instead, so
-sub-rectangle counts always add up to the parent count.
+along one edge.)  Subdivision lines are placed where a 13-point sample of
+|f| stays clear of zero, and never on the real axis of a function real
+there, where its real zeros sit; a dip on any sub-rectangle still restarts
+the whole count or location on the grown and shifted window.
 """
 
 from __future__ import annotations
@@ -72,6 +77,10 @@ WINDING_SLACK = mpf("0.25")
 MAX_GROW_TRIES = 5
 MAX_WINDING_DEPTH = 12
 MAX_LOCATE_DEPTH = 16
+#: a box that holds at most this many zeros is solved from the power sums of
+#: one contour pass; a larger count, or a step that does not accept, is
+#: quadrisected
+MAX_POWER_SUMS = 8
 #: first and largest grid of the real-axis scan over a whole interval; a
 #: scan over [0, a] alone uses half as many points, at the same spacing
 AXIS_POINTS = 129
@@ -258,8 +267,11 @@ class _EvaluatorFailed(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _edge_pass(fn, za, zb, abs_tol, n_moments, stats):
+def _edge_pass(fn, za, zb, abs_tol, stats, moments=None):
+    """Integral of f'/f along the segment za -> zb; with moments = (c, rho,
+    k), also of w^j f'/f for j = 1..k, where w = (z - c)/rho."""
     dz = zb - za
+    n_moments = moments[2] if moments else 0
 
     def integrand(t):
         z = za + t * dz
@@ -273,12 +285,13 @@ def _edge_pass(fn, za, zb, abs_tol, n_moments, stats):
             stats["argmin"] = z
         if av == 0:
             raise _ContourDip(z)
-        r = d / v * dz
-        if n_moments == 2:
-            return (r, z * r, z * z * r)
-        if n_moments == 1:
-            return (r, z * r)
-        return (r,)
+        out = [d / v * dz]
+        if n_moments:
+            c, rho, _ = moments
+            w = (z - c) / rho
+            for _ in range(n_moments):
+                out.append(out[-1] * w)
+        return out
 
     try:
         vals, err, n = numerics.integrate_adaptive(
@@ -293,17 +306,18 @@ def _edge_pass(fn, za, zb, abs_tol, n_moments, stats):
     return vals, err, n
 
 
-def _path_pass(fn, path, perim, abs_tol, n_moments=0):
-    """Integrals of f'/f (and moments) along the polygon through path.
+def _path_pass(fn, path, perim, abs_tol, moments=None):
+    """Integrals of f'/f (and moments, see _edge_pass) along the polygon
+    through path.
 
     Each edge gets the share of abs_tol that its length has of perim.
     """
     stats = {"min": mpf("inf"), "argmin": None}
-    totals = [mpc(0)] * (1 + n_moments)
+    totals = [mpc(0)] * (1 + (moments[2] if moments else 0))
     err_total = mpf(0)
     for a, b in zip(path, path[1:]):
         edge_tol = abs_tol * abs(b - a) / perim
-        vals, err, _ = _edge_pass(fn, a, b, edge_tol, n_moments, stats)
+        vals, err, _ = _edge_pass(fn, a, b, edge_tol, stats, moments)
         for i, v in enumerate(vals):
             totals[i] += v
         err_total += err
@@ -311,13 +325,21 @@ def _path_pass(fn, path, perim, abs_tol, n_moments=0):
 
 
 def _contour_pass(fn, rect: Rectangle, abs_tol, n_moments=0):
-    """One counterclockwise sweep: winding (and moments), with dip stats."""
+    """One counterclockwise sweep: the winding and the power sums s_k =
+    sum w_j^k, k = 1..n_moments, of the zeros z_j in rect, with w = (z - c)/
+    rho centred at the box centre c and scaled by its half-diagonal rho, so
+    that |w| <= 1 on the contour and no power tightens the pass."""
     corners = rect.corners()
+    moments = (rect.center(), _half_diagonal(rect), n_moments) if n_moments else None
     totals, err_total = _path_pass(
-        fn, corners + corners[:1], 2 * (rect.width + rect.height), abs_tol, n_moments
+        fn, corners + corners[:1], 2 * (rect.width + rect.height), abs_tol, moments
     )
     two_pi_i = 2 * mp.pi * mpc(0, 1)
     return [t / two_pi_i for t in totals], err_total
+
+
+def _half_diagonal(rect: Rectangle):
+    return mpmath.hypot(rect.width, rect.height) / 2
 
 
 def _integer_winding(w: mpc):
@@ -357,6 +379,8 @@ def _choose_split(fn, rect: Rectangle):
                 ]
             else:
                 y = rect.im_min + rect.height * frac
+                if y == 0 and fn.real_on_axis():
+                    continue  # the real zeros sit on it
                 pts = [
                     mpc(rect.re_min + rect.width * mpf(j) / 12, y)
                     for j in range(13)
@@ -509,47 +533,112 @@ def _snap_axis(fn, z, tol):
     return z
 
 
+def _polynomial_roots(coeffs):
+    """Roots of the monic polynomial with coefficients coeffs, highest
+    first, as the eigenvalues of its companion matrix: the QR iteration,
+    unlike an iteration on the polynomial, does not stall at a double root.
+    None when it does not converge."""
+    n = len(coeffs) - 1
+    if n == 1:
+        return [-coeffs[1]]  # mpmath.eig of a 1x1 matrix adds its vectors
+    companion = mpmath.matrix(n, n)
+    for j in range(n):
+        companion[0, j] = -coeffs[j + 1]
+    for i in range(1, n):
+        companion[i, i - 1] = 1
+    try:
+        return mpmath.eig(companion, left=False, right=False)
+    except RuntimeError:  # no QR convergence
+        return None
+
+
+def _power_sum_zeros(fn, rect: Rectangle, sums, n, loc_tol):
+    """The n zeros of fn in rect, from the power sums sums[k] = s_k of
+    _contour_pass, k = 1..n; None when the step does not accept.
+
+    Newton's identities turn s_1..s_n into the monic polynomial whose roots
+    are the w_j (the eigenvalues of the Hankel pencil of Kravanja and Van
+    Barel, LNM 1727, 2000), and each root, mapped back to z = c + rho w,
+    seeds a simple Newton polish.  Seeds closer than 100 loc_tol, and roots whose simple
+    polishes meet within 10 loc_tol, form one cluster; a root whose simple
+    polish fails joins the cluster of its nearest other root.  A cluster of
+    m roots is polished from their mean with multiplicity m.  The step
+    accepts when every located zero passes the residual gate and lies in
+    rect, and no two of them meet within 10 loc_tol; a simple zero within
+    1e3 loc_tol of another one is flagged as a cluster.
+    """
+    coeffs = [mpc(1)]
+    for k in range(1, n + 1):
+        coeffs.append(-sum(coeffs[k - i] * sums[i] for i in range(1, k + 1)) / k)
+    roots = _polynomial_roots(coeffs)
+    if roots is None:
+        return None
+    c, rho = rect.center(), _half_diagonal(rect)
+    seeds = [c + rho * w for w in roots]
+    scale = max(abs(fn(z)) for z in rect.corners()) + mpf(10) ** (-mp.dps)
+    res_gate = mpmath.sqrt(loc_tol) * scale
+
+    def polished(z0, multiplicity):
+        got = _polish(fn, z0, multiplicity, loc_tol, rect)
+        if got is None or got[1] > res_gate or not rect.contains(got[0]):
+            return None
+        return LocatedZero(_snap_axis(fn, got[0], 100 * loc_tol), multiplicity, got[1])
+
+    label = list(range(n))
+
+    def join(i, j):
+        old, new = label[j], label[i]
+        label[:] = [new if x == old else x for x in label]
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(seeds[i] - seeds[j]) < 100 * loc_tol:
+                join(i, j)
+    simple = {}
+    for i in range(n):
+        if label.count(label[i]) > 1:
+            continue
+        hit = polished(seeds[i], 1)
+        if hit is not None:
+            simple[i] = hit
+        elif n == 1:
+            return None
+        else:
+            join(min((j for j in range(n) if j != i), key=lambda j: abs(seeds[j] - seeds[i])), i)
+    for i in simple:
+        for j in simple:
+            if i < j and abs(simple[i].location - simple[j].location) <= 10 * loc_tol:
+                join(i, j)
+    found = []
+    for group in {x: [i for i in range(n) if label[i] == x] for x in label}.values():
+        m = len(group)
+        hit = simple[group[0]] if m == 1 else polished(sum(seeds[i] for i in group) / m, m)
+        if hit is None:
+            return None
+        found.append(hit)
+    gaps = [
+        min([abs(z.location - o.location) for o in found if o is not z], default=mpf("inf"))
+        for z in found
+    ]
+    if min(gaps) <= 10 * loc_tol:
+        return None
+    return [
+        replace(z, cluster=z.multiplicity == 1 and gap < 1000 * loc_tol)
+        for z, gap in zip(found, gaps)
+    ]
+
+
 def _locate_recursive(fn, rect: Rectangle, depth: int, loc_tol, out: list):
-    moments, _ = _contour_pass(fn, rect, _moment_tol(rect), n_moments=2)
-    n, residual = _integer_winding(moments[0])
+    sums, _ = _contour_pass(fn, rect, _moment_tol(rect), n_moments=MAX_POWER_SUMS)
+    n, residual = _integer_winding(sums[0])
     if residual > WINDING_SLACK:
         n = None  # force subdivision
     if n == 0:
         return
-    snap_tol = 100 * loc_tol
-    scale = max(abs(fn(c)) for c in rect.corners()) + mpf(10) ** (-mp.dps)
-    res_gate = mpmath.sqrt(loc_tol) * scale
-
-    def accepted(got, multiplicity):
-        if got is None:
-            return None
-        z, res = got
-        if res > res_gate or not rect.grown(mpf("1.2")).contains(z):
-            return None
-        return LocatedZero(_snap_axis(fn, z, snap_tol), multiplicity, res)
-
-    if n == 1:
-        hit = accepted(_polish(fn, moments[1], 1, loc_tol, rect), 1)
-        if hit is not None:
-            out.append(hit)
-            return
-    elif n == 2:
-        mu1, mu2 = moments[1], moments[2]
-        half = mu1 / 2
-        disc = mpmath.sqrt(mu2 / 2 - half * half)
-        pair_gap = 2 * abs(disc)
-        if pair_gap >= mpf(100) * loc_tol:
-            hit_a = accepted(_polish(fn, half + disc, 1, loc_tol, rect), 1)
-            hit_b = accepted(_polish(fn, half - disc, 1, loc_tol, rect), 1)
-            if hit_a is not None and hit_b is not None:
-                if abs(hit_a.location - hit_b.location) > mpf(10) * loc_tol:
-                    tight = abs(hit_a.location - hit_b.location) < mpf("1e3") * loc_tol
-                    out.append(replace(hit_a, cluster=tight))
-                    out.append(replace(hit_b, cluster=tight))
-                    return
-        hit = accepted(_polish(fn, half, 2, loc_tol, rect), 2)
-        if hit is not None:
-            out.append(hit)
+    if n is not None and 0 < n <= MAX_POWER_SUMS:
+        found = _power_sum_zeros(fn, rect, sums, n, loc_tol)
+        if found is not None:
+            out += found
             return
 
     if depth >= MAX_LOCATE_DEPTH:
@@ -562,11 +651,9 @@ def _locate_recursive(fn, rect: Rectangle, depth: int, loc_tol, out: list):
         _locate_recursive(fn, sub, depth + 1, loc_tol, out)
 
 
-def locate_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> ZeroSet:
-    """Count and locate all zeros of f in rect (multiplicity-aware)."""
-    ctx = ctx or PrecisionContext()
-    fn = as_analytic(f)
-    count, used = _count_with_rect(fn, rect, ctx)
+def _locate_counted(fn, rect: Rectangle, count, ctx: PrecisionContext) -> ZeroSet:
+    """ZeroSet of fn in rect, given count, the certified number of its zeros
+    there; the located multiplicities must add up to count."""
     with ctx.workdps(5):
         loc_tol = mpf(10) ** (-min(ctx.tol_digits, 25))
 
@@ -577,14 +664,26 @@ def locate_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> ZeroSet:
 
         zeros: list = []
         if count:
-            zeros, used = _retry_on_dip(locate, used, _nudge)
+            zeros, rect = _retry_on_dip(locate, rect, _nudge)
         total = sum(z.multiplicity for z in zeros)
         if total != count:
             raise WindingError(
                 "located multiplicities (%d) disagree with winding count (%d)"
                 % (total, count)
             )
-        return ZeroSet(rect=used, count=count, zeros=tuple(zeros))
+        return ZeroSet(rect=rect, count=count, zeros=tuple(zeros))
+
+
+def locate_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> ZeroSet:
+    """Count and locate all zeros of f in rect (multiplicity-aware).
+
+    The winding count over rect is taken first, on its own pass, and the
+    located multiplicities are checked against it.
+    """
+    ctx = ctx or PrecisionContext()
+    fn = as_analytic(f)
+    count, used = _count_with_rect(fn, rect, ctx)
+    return _locate_counted(fn, used, count, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -794,9 +893,10 @@ def verify_all_real(
     whole window with a thin-strip winding about the axis.  A real count
     above the winding count is a WindingError here too.
 
-    On mismatch the offending zeros are located by subdivision; the
-    verdict carries the one closest to the axis and the margin (certified
-    strip half-width when all real, closest offender distance otherwise).
+    On mismatch the window's zeros are located against the certified
+    count; the verdict carries the nonreal one closest to the axis (see
+    _worst_offender) and the margin (certified strip half-width when all
+    real, closest offender distance otherwise).
     With locate_offenders=False there is no location: a certified nonreal
     zero is returned as the offender with its radius, and otherwise the
     verdict carries no offender.
@@ -844,11 +944,12 @@ def verify_all_real(
                 margin=abs(mpmath.im(z)), offender_radius=r,
             )
 
-        # mismatch: hunt the nonreal ones down for the report
-        zs = locate_zeros(fn, used, ctx)
+        # mismatch: hunt the nonreal ones down for the report; the count
+        # above is certified, so location does not count the window again
+        zs = _locate_counted(fn, used, total, ctx)
         axis_cut = _AXIS_CUT * tol
         offenders = [
-            z for z in zs.zeros if abs(mpmath.im(z.location)) > axis_cut
+            z.location for z in zs.zeros if abs(mpmath.im(z.location)) > axis_cut
         ]
         if not offenders:
             raise WindingError(
@@ -856,13 +957,23 @@ def verify_all_real(
                 "be isolated" % (total, real_count)
             )
         _check_quadruple_symmetry(fn, offenders)
-        worst = min(offenders, key=lambda z: abs(mpmath.im(z.location)))
+        worst = _worst_offender(offenders, tol)
         return RealityVerdict(
             window=used,
             all_real=False,
-            worst_offender=worst.location,
-            margin=abs(mpmath.im(worst.location)),
+            worst_offender=worst,
+            margin=abs(mpmath.im(worst)),
         )
+
+
+def _worst_offender(offenders, tol):
+    """The offender closest to the axis, whatever order location found them
+    in: of those whose |Im| is within 100 tol of the least, the one with the
+    least (Im >= 0, Re, |Im|), so that of a conjugate pair the one below
+    the axis is reported."""
+    low = min(abs(mpmath.im(z)) for z in offenders)
+    near = [z for z in offenders if abs(mpmath.im(z)) - low <= 100 * tol]
+    return min(near, key=lambda z: (mpmath.im(z) >= 0, mpmath.re(z), abs(mpmath.im(z))))
 
 
 class _Offender(NamedTuple):
@@ -997,8 +1108,7 @@ def _check_quadruple_symmetry(fn, offenders):
     {z, -z, conj z, -conj z}; spot-check the mirrors by direct evaluation."""
     if not fn.real_on_axis():
         return
-    for z in offenders:
-        loc = z.location
+    for loc in offenders:
         here = abs(fn(loc))
         for mirror in (-loc, mpmath.conj(loc), -mpmath.conj(loc)):
             there = abs(fn(mirror))

@@ -733,3 +733,151 @@ def test_double_zero_polish_stops_at_the_noise_floor():
         z, _ = _polish(Counted(), mp.pi + mpf("1e-3"), 2, mpf("1e-15"), box)
         assert len(steps) <= 10
         assert abs(z - mp.pi) < mpf("1e-10")
+
+
+# ---------------------------------------------------------------------------
+# location from power sums
+# ---------------------------------------------------------------------------
+
+
+def _polynomial(zeros_with_multiplicity):
+    """prod (z - r)^m as an analytic function, not real on the axis."""
+    def value(z):
+        out = mpc(1)
+        for r, m in zeros_with_multiplicity:
+            out *= (z - r) ** m
+        return out
+
+    def deriv(z):
+        return value(z) * sum(m / (z - r) for r, m in zeros_with_multiplicity)
+
+    return as_analytic(value, deriv, real_on_axis=False)
+
+
+def _refuse_to_split(fn, rect):
+    raise AssertionError("the power-sum step did not accept %s" % (rect,))
+
+
+#: lattice points of [-1, 1]^2 a quarter apart
+LATTICE = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    points=st.lists(LATTICE, min_size=1, max_size=8, unique=True),
+    double=st.one_of(st.none(), st.integers(0, 7)),
+)
+def test_property_power_sums_locate_exact_zeros(points, double):
+    """Polynomials with 1-8 zeros on a lattice of [-1, 1]^2, at most one of
+    them double, are solved by the power-sum step of the top box alone."""
+    if double is not None and (double >= len(points) or len(points) == 8):
+        double = None
+    ctx = ctx30()
+    with ctx.workdps(5):
+        exact = [
+            (mpc(mpf(x) / 4, mpf(y) / 4), 2 if i == double else 1)
+            for i, (x, y) in enumerate(points)
+        ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros, "_choose_split", _refuse_to_split)
+        zs = locate_zeros(_polynomial(exact), Rectangle.make(-2, 2, -2, 2), ctx)
+    assert zs.count == sum(m for _, m in exact) == zs.total_multiplicity()
+    assert len(zs.zeros) == len(exact)
+    for r, m in exact:
+        hits = [z for z in zs.zeros if abs(z.location - r) < mpf("1e-12")]
+        assert len(hits) == 1 and hits[0].multiplicity == m
+
+
+def test_a_near_pair_stays_two_simple_zeros(monkeypatch):
+    # zeros 1e-6 apart are far more than 1e3 loc_tol = 1e-12 apart: two
+    # simple zeros, not a double one, and not flagged as a cluster
+    ctx = ctx30()
+    with ctx.workdps(5):
+        a = mpc("0.3", "0.2")
+        exact = [(a, 1), (a + mpf("1e-6"), 1), (mpc("-0.5", "0.7"), 1)]
+    monkeypatch.setattr(zeros, "_choose_split", _refuse_to_split)
+    zs = locate_zeros(_polynomial(exact), Rectangle.make(-2, 2, -2, 2), ctx)
+    assert [z.multiplicity for z in zs.zeros] == [1, 1, 1]
+    assert not any(z.cluster for z in zs.zeros)
+    for r, _ in exact:
+        assert min(abs(z.location - r) for z in zs.zeros) < mpf("1e-14")
+
+
+def test_quadrisection_gives_the_same_zeros_when_the_step_fails(monkeypatch):
+    # the two-atom transform at 1/2 on [-8, 8] x [-2, 2]: the quadruple
+    # +-pi +- 0.64i; with the step refused on the top box, quadrisection
+    # must find the same ZeroSet
+    ctx = ctx30()
+    with ctx.workdps(5):
+        fn = transform_function(two_atom_cosine(), mpf("0.5"), ctx)
+    rect = Rectangle.make(-8, 8, -2, 2)
+    direct = locate_zeros(fn, rect, ctx)
+    step, tops = zeros._power_sum_zeros, []
+
+    def refused_on_top(fn, box, *args):
+        if box == rect:
+            tops.append(box)
+            return None
+        return step(fn, box, *args)
+
+    monkeypatch.setattr(zeros, "_power_sum_zeros", refused_on_top)
+    split = locate_zeros(fn, rect, ctx)
+    assert tops == [rect]
+    assert (split.rect, split.count) == (direct.rect, direct.count) == (rect, 4)
+    assert len(split.zeros) == len(direct.zeros)
+    for a in direct.zeros:
+        b = min(split.zeros, key=lambda z: abs(z.location - a.location))
+        assert (a.multiplicity, a.cluster) == (b.multiplicity, b.cluster)
+        assert abs(a.location - b.location) < mpf("1e-14")
+
+
+def test_split_lines_avoid_the_axis_of_a_real_on_axis_function(monkeypatch):
+    # cos z has 10 zeros on [-15, 15] x [-1, 1], more than one power-sum
+    # step takes; the horizontal split through them would be y = 0, and a
+    # contour through a zero restarts location on a nudged window
+    nudges, nudge = [], zeros._nudge
+
+    def recorded(rect):
+        nudges.append(rect)
+        return nudge(rect)
+
+    monkeypatch.setattr(zeros, "_nudge", recorded)
+    ctx = ctx30()
+    zs = locate_zeros(cosine_fn(), Rectangle.make(-15, 15, -1, 1), ctx)
+    assert nudges == []
+    assert zs.count == 10 and len(zs.zeros) == 10
+    with ctx.workdps(5):
+        got = sorted(mpmath.re(z.location) for z in zs.zeros)
+        for k, x in zip(range(-5, 5), got):
+            assert abs(x - (k + mpf(1) / 2) * mp.pi) < mpf("1e-14")
+    assert all(z.multiplicity == 1 and mpmath.im(z.location) == 0 for z in zs.zeros)
+
+
+@pytest.mark.parametrize("re_min, re_max", [(2, "4.5"), (-4, 4)])
+def test_the_reported_offender_does_not_depend_on_location_order(monkeypatch, re_min, re_max):
+    # the conjugate pair pi +- 0.64i of the two-atom transform at 1/2, and
+    # the quadruple +-pi +- 0.64i: location in either order reports the same
+    # offender, below the axis
+    ctx = ctx30()
+    window = Rectangle.make(re_min, re_max, -2, 2)
+    forward = verify_all_real(two_atom_cosine(), mpf("0.5"), window, ctx)
+    located = zeros._locate_counted
+
+    def reversed_order(*args):
+        zs = located(*args)
+        return replace(zs, zeros=zs.zeros[::-1])
+
+    monkeypatch.setattr(zeros, "_locate_counted", reversed_order)
+    backward = verify_all_real(two_atom_cosine(), mpf("0.5"), window, ctx)
+    assert forward.worst_offender == backward.worst_offender
+    assert forward.worst_offender.imag < 0
+
+
+def test_a_false_verdict_locates_against_its_own_count(monkeypatch):
+    # the quarter path has certified the 4 zeros +-pi +- 0.64i; location
+    # checks its multiplicities against that count instead of sweeping the
+    # whole window again with the full contour
+    counts = []
+    monkeypatch.setattr(zeros, "_count_with_rect", lambda *args: counts.append(args))
+    v = verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-4, 4, -1, 1), ctx_light())
+    assert v.all_real is False and counts == []
