@@ -20,6 +20,7 @@ from .precision import (
     PrecisionLossError,
     QuadratureError,
     RangeError,
+    ResolutionError,
     SchemaError,
     TailBoundError,
     WindingError,

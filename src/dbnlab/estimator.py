@@ -4,7 +4,9 @@ Three independent instruments share this module:
 
   scan_lambda / bisect_lambda   reality verdicts of H on a fixed window as
                                 the Gaussian multiplier exponent moves, and
-                                the flip point located by bisection
+                                the flip point located inside a certified
+                                bracket by heat-flow steps, in at most one
+                                verdict more than bisection
   ingest_zero_table /           tables of positive ordinates and the
   lehmer_lower_bound            close-pair lower bound computed from them
   debruijn_strip_halfwidth      de Bruijn's strip bound sqrt(max(D^2-2b, 0))
@@ -19,9 +21,9 @@ import io
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpc, mpf
 
-from .measures import EvenMeasure, tail_set
+from .measures import EvenMeasure, tail_set, transform_function
 from .precision import (
     BracketError,
     DomainError,
@@ -44,6 +46,20 @@ __all__ = [
 
 #: default reach of the truncated pair-interaction sum, in ordinate units
 DEFAULT_TRUNCATION_RADIUS = 500
+#: bisect_lambda's probes land this many tol past their heat-flow estimate,
+#: so that two estimates good to tol/22 from either side close the bracket
+_PAST_TOL = mpf(1) / mpf("2.2")
+#: bisect_lambda's ITP constants (Oliveira & Takahashi's defaults): band
+#: slack n0, at most one verdict more than bisection, and truncation
+#: kappa1 = _ITP_KAPPA1 / (first bracket width) with kappa2 = 2
+_ITP_SLACK = 1
+_ITP_KAPPA1 = mpf("0.2")
+#: the band's widths are this fraction of the ITP schedule's, so that
+#: rounding cannot leave a bracket a hair wider than tol after the last probe
+_ITP_SPARE = mpf(63) / 64
+#: Newton steps from an offender's real part to the extremum between the
+#: real pair that split off there
+_EXTREMUM_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -147,13 +163,39 @@ def bisect_lambda(
 ):
     """Flip point of the window verdict, to absolute tolerance tol.
 
-    Requires verdict(lo) = false and verdict(hi) = true; the verdict is
-    monotone in the multiplier (universal factor), so plain bisection
-    applies.  Each verdict runs with locate_offenders=False: no offender
-    is hunted down by subdivision.  For a positive measure a false verdict
-    still rests on a nonreal zero certified by Newton-Kantorovich (see
-    verify_all_real), as a true one rests on a lower bound on the real
-    zeros that meets the count of all zeros.
+    Requires verdict(lo) = false and verdict(hi) = true.  The verdict is
+    monotone in the multiplier (universal factor), so the flip stays inside
+    the bracket [lo, hi] that every verdict shrinks, and the estimate is its
+    midpoint once hi - lo <= tol.  Each verdict runs with
+    locate_offenders=False: no offender is hunted down by subdivision.  For
+    a positive measure a false verdict still rests on a nonreal zero
+    certified by Newton-Kantorovich (see verify_all_real), as a true one
+    rests on a lower bound on the real zeros that meets the count of all
+    zeros.
+
+    The next multiplier comes from the heat flow (de Bruijn 1950; Rodgers
+    & Tao, arXiv 1801.05914).  A conjugate pair x +- iy near the axis has
+    d(y^2)/dlambda ~ -2, and a real pair x +- delta has d(delta^2)/dlambda
+    ~ +2, so g = -y^2 at a false verdict (y from its certified offender)
+    and g = +delta^2 at a true one (see _split_height, from the last
+    offender's real part) both read about 2 (lambda - flip).  The step is
+    Illinois regula falsi on g between the bracket ends, or lambda - g/2
+    from the one end that has a height, shifted _PAST_TOL * tol past the
+    estimate, away from the last verdict, so that two good estimates from
+    either side close the bracket.  hi is checked before lo: delta needs
+    an offender, and one seen nearer the flip than the caller's hi, so the
+    first step is lo + y^2/2.  Without any height the step is the
+    midpoint, which is plain bisection.  The heights only choose the next
+    probe; every bracket end is a verdict.
+
+    Each step is safeguarded as in ITP (Oliveira & Takahashi, ACM TOMS 47,
+    2020, with their default constants): the estimate is first pulled
+    toward the midpoint by kappa1 (hi - lo)^2, which counts only while the
+    bracket is wide, and the probe then stays in a band about the midpoint
+    that keeps the bracket on a schedule with n0 = 1.  So a bisection
+    takes at most ceil(log2((hi - lo) / tol)) + 1 verdicts besides the two
+    at lo and hi, one more than bisection would, however wrong the
+    estimates are.
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps():
@@ -162,30 +204,105 @@ def bisect_lambda(
         raise BracketError("need lo < hi")
     if tol <= 0:
         raise DomainError("tol must be positive")
+    x0 = None  # real part of the last certified offender
 
-    def verdict(lam) -> bool:
+    def verdict(lam):
+        """The verdict at lam and its heat-flow height g, or None."""
+        nonlocal x0
         if not tail_set(measure).contains(lam):
             raise BracketError(
                 "lambda=%s leaves the entireness range" % mpmath.nstr(lam, 10)
             )
-        return verify_all_real(measure, lam, window, ctx, locate_offenders=False).all_real
+        v = verify_all_real(measure, lam, window, ctx, locate_offenders=False)
+        if v.all_real:
+            return True, None if x0 is None else _split_height(measure, lam, x0, tol, ctx)
+        if v.worst_offender is None:
+            return False, None
+        x0 = mpmath.re(v.worst_offender)
+        return False, -mpmath.im(v.worst_offender) ** 2
 
-    if verdict(lo):
-        raise BracketError(
-            "bracket invalid: verdict at lo=%s is already true" % mpmath.nstr(lo, 10)
-        )
-    if not verdict(hi):
+    real, g_hi = verdict(hi)
+    if not real:
         raise BracketError(
             "bracket invalid: verdict at hi=%s is false" % mpmath.nstr(hi, 10)
         )
+    real, g_lo = verdict(lo)
+    if real:
+        raise BracketError(
+            "bracket invalid: verdict at lo=%s is already true" % mpmath.nstr(lo, 10)
+        )
     with ctx.workdps():
+        past, span = _PAST_TOL * tol, hi - lo
+        left = _ITP_SLACK  # probes left: ceil(log2((hi - lo) / tol)) + slack
+        while tol * 2 ** (left - _ITP_SLACK) < hi - lo:
+            left += 1
+        last_real = False
         while hi - lo > tol:
             mid = (lo + hi) / 2
-            if verdict(mid):
-                hi = mid
+            lam = _flow_estimate(lo, hi, g_lo, g_hi)
+            if lam is None:
+                lam = mid
             else:
-                lo = mid
+                # ITP truncation: the estimate moves toward the midpoint by
+                # kappa1 (hi - lo)^2, which matters only while hi - lo is wide
+                pull = _ITP_KAPPA1 * (hi - lo) ** 2 / span
+                lam = mid if pull >= abs(mid - lam) else lam + (pull if lam < mid else -pull)
+                lam += -past if last_real else past
+                # the probe leaves a bracket no wider than this, with a
+                # little to spare for rounding, so that left probes suffice
+                width = tol * 2 ** (left - 1) * _ITP_SPARE
+                band = max(min(width - (hi - lo) / 2, (hi - lo) / 2 - past), 0)
+                lam = min(max(lam, mid - band), mid + band)
+            left -= 1
+            real, g = verdict(lam)
+            if real:
+                if last_real and g_lo is not None:
+                    g_lo /= 2  # Illinois: lo held for a second step
+                hi, g_hi = lam, g
+            else:
+                if not last_real and g_hi is not None:
+                    g_hi /= 2  # hi held for a second step
+                lo, g_lo = lam, g
+            last_real = real
         return (lo + hi) / 2
+
+
+def _flow_estimate(lo, hi, g_lo, g_hi):
+    """Where g ~ 2 (lambda - flip) vanishes: regula falsi between the
+    bracket ends when both have a height, lambda - g/2 from the one that
+    has, None when neither has."""
+    if g_lo is not None and g_hi is not None:
+        return lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    if g_lo is not None:
+        return lo - g_lo / 2
+    if g_hi is not None:
+        return hi - g_hi / 2
+    return None
+
+
+def _split_height(measure, lam, x0, tol, ctx):
+    """delta^2 of the real pair x_m +- delta that split off near x0, or None.
+
+    Newton on H' runs along the axis from x0 to the extremum x_m of H
+    between the pair.  There H ~ H(x_m) + H''(x_m) (x - x_m)^2 / 2, whose
+    zeros give delta^2 = -2 H(x_m) / H''(x_m).  Newton stops once its step
+    s has s^2 below tol / 100, about the error it leaves in delta^2.  None
+    when it does not stop within _EXTREMUM_STEPS or delta^2 is not positive.
+    """
+    fn = transform_function(measure, lam, ctx)
+    stop = mpmath.sqrt(tol) / 10
+    x = x0
+    for _ in range(_EXTREMUM_STEPS):
+        at = fn.parts(mpc(x, 0), ("value", "deriv", "moment2"))
+        h, d, m2 = (mpmath.re(at[q].value) for q in ("value", "deriv", "moment2"))  # m2 = -H''
+        if m2 == 0:
+            return None
+        step = d / m2
+        if abs(step) < stop:
+            delta2 = 2 * h / m2
+            return delta2 if delta2 > 0 else None
+        x += step
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,11 @@ class WindingError(DbnlabError):
     """A winding number failed to settle near an integer after subdivision."""
 
 
+class ResolutionError(DbnlabError):
+    """A real-axis scan reached its point budget before its crossing count
+    settled."""
+
+
 class BracketError(DbnlabError):
     """A bisection bracket does not actually straddle a verdict change."""
 

@@ -56,6 +56,7 @@ from .precision import (
     DomainError,
     PrecisionContext,
     QuadratureError,
+    ResolutionError,
     WindingError,
 )
 
@@ -711,8 +712,10 @@ def _golden_scan(fn, a, b, n, max_points):
     they alias (a pure tone sampled at ~k periods per step looks like a
     slow envelope at every dyadic refinement), while golden strides cannot
     stay phase-locked across consecutive grids.  The scan ends when three
-    consecutive crossing counts agree or n reaches max_points; a caller may
-    stop it sooner.
+    consecutive crossing counts agree; a caller may stop it sooner, on a
+    certificate of its own.  A caller that asks for a grid past one of
+    max_points or more gets a ResolutionError instead: its crossings never
+    settled, and that grid's zeros would be a guess.
     """
     history = []
     while True:
@@ -730,11 +733,18 @@ def _golden_scan(fn, a, b, n, max_points):
             and mpmath.sign(vals[i]) != mpmath.sign(vals[i + 1])
         ]
         yield _Grid(xs, vals, errs, crossings, (b - a) / (n - 1))
-        history.append(len(crossings))
+        # sign changes with exact zeros skipped: a simple zero that lands on
+        # a grid point counts once, on or off the grid, so it cannot keep
+        # the count from settling
+        signs = [mpmath.sign(v) for v in vals if v != 0]
+        history.append(sum(1 for s, t in zip(signs, signs[1:]) if s != t))
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             return
         if n >= max_points:
-            return
+            raise ResolutionError(
+                "axis scan of [%s, %s] reached %d points with crossing counts %s"
+                % (mpmath.nstr(a, 8), mpmath.nstr(b, 8), n, history[-3:])
+            )
         n = int(n * mpf("1.618")) + 1
 
 
@@ -828,7 +838,8 @@ def locate_real_zeros(f, interval, ctx: PrecisionContext = None, refine_tol=None
     """Real zeros of f on [a, b], with multiplicity, via sign-change scan.
 
     The crossing count is stabilized under golden-ratio grid refinement:
-    three consecutive agreeing counts are required.  Double zeros leave no
+    three consecutive agreeing counts are required, and a count still moving
+    at AXIS_MAX_POINTS points is a ResolutionError.  Double zeros leave no
     sign change; they are picked up as deep local minima of |f| and
     confirmed by a winding count over a thin rectangle around the
     candidate.  A minimum whose nearby zeros turn out to be a genuinely
@@ -882,8 +893,10 @@ def verify_all_real(
     change, and Kantorovich's test on its limit (see _certify_minimum)
     either certifies a nonreal zero, which ends the verdict as "not all
     real", or certifies a real pair, which raises the bound.  A bound above
-    the count is a WindingError.  If the refinement ends short, the
-    double-zero checks of locate_real_zeros run on the scanned interval.
+    the count is a WindingError.  If the refinement settles short, the
+    double-zero checks of locate_real_zeros run on the scanned interval;
+    if it reaches its point budget unsettled, the verdict is refused with
+    a ResolutionError.
     A dip on the path grows the window about its centre, keeping its
     symmetry; a path count that misses an integer falls back to the
     winding over the whole window, which may nudge it off the axis, and

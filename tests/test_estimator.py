@@ -8,10 +8,14 @@ close-pair records end to end.
 """
 
 import pathlib
+from dataclasses import replace
+from unittest import mock
 
 import mpmath
 import pytest
-from mpmath import mp, mpf
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpc, mpf
 
 from dbnlab import estimator as est
 from dbnlab.measures import convolve_gaussian, named_density, symmetric_atoms
@@ -23,6 +27,10 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 def ctx30():
     return PrecisionContext(working_digits=30, target_abs_tol=mpf("1e-15"))
+
+
+def ctx_light():
+    return PrecisionContext(working_digits=20, target_abs_tol=mpf("1e-10"))
 
 
 def two_atom_cosine():
@@ -160,6 +168,104 @@ class TestBisectLambda:
                 est.bisect_lambda(
                     cosine, -5, 1, Rectangle.make(-8, 8, -2, 2), mpf("1e-6"), ctx
                 )
+
+
+def recording(edit=lambda v: v):
+    """The lambdas probed, and a patch of est.verify_all_real that records
+    them and passes each verdict through edit on its way back."""
+    lams, real = [], est.verify_all_real
+
+    def verify(measure, lam, window, ctx, **kw):
+        lams.append(lam)
+        return edit(real(measure, lam, window, ctx, **kw))
+
+    return lams, mock.patch.object(est, "verify_all_real", verify)
+
+
+def verdict_budget(lo, hi, tol):
+    """ceil(log2((hi - lo) / tol)) + 3: the two bracket ends, one verdict
+    per halving, and the ITP slack of one."""
+    n = 0
+    while tol * 2**n < hi - lo:
+        n += 1
+    return n + 3
+
+
+def two_atom(w0, w1, t):
+    """{0: w0, +-t: w1}; H = w0 + w1 e^{lam t^2} cos(t z) has only real
+    zeros exactly from lam* = ln(w0/w1) / t^2 on."""
+    return symmetric_atoms([(mpf(0), mpf(w0)), (mpf(t), mpf(w1))])
+
+
+class TestHeatFlowSteps:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        ratio=st.floats(1.2, 5),
+        t=st.floats(0.6, 1.6),
+        below=st.floats(0.05, 1),
+        above=st.floats(0.05, 1),
+        digits=st.floats(3, 7),
+    )
+    def test_property_two_atom_threshold_within_budget(self, ratio, t, below, above, digits):
+        # the window holds only the zeros at +-pi/t (the next sit at 3 pi/t),
+        # and at lo, cosh(t y) = e^{(lam* - lo) t^2} <= e^1.1 keeps them
+        # below its top edge.  The bracket ends are short decimals, so no
+        # midpoint lands on the double zero at lam* itself.
+        ctx = ctx_light()
+        with ctx.workdps(0):
+            ratio, t = mpf("%.3f" % ratio), mpf("%.3f" % t)
+            w1 = 1 / (1 + ratio)
+            exact = mpmath.log(ratio) / t**2
+            lo = mpf(mpmath.nstr(exact - below / t**2, 3))
+            hi = mpf(mpmath.nstr(exact + above / t**2, 3))
+            tol = mpf(10) ** -mpf("%.2f" % digits)
+            window = Rectangle.make(-2 * mpmath.pi / t, 2 * mpmath.pi / t, -3 / t, 3 / t)
+            lams, patch = recording()
+            with patch:
+                got = est.bisect_lambda(two_atom(1 - w1, w1, t), lo, hi, window, tol, ctx)
+            assert abs(got - exact) <= tol
+            assert len(lams) <= verdict_budget(lo, hi, tol)
+
+    def test_without_offenders_steps_are_plain_bisection(self):
+        strip = lambda v: replace(v, worst_offender=None, offender_radius=None)
+        ctx = ctx_light()
+        with ctx.workdps(0):
+            lo, hi, tol = mpf(0), mpf(1), mpf("1e-4")
+            lams, patch = recording(strip)
+            with patch:
+                got = est.bisect_lambda(
+                    two_atom_cosine(), lo, hi, Rectangle.make(-8, 8, -2, 2), tol, ctx
+                )
+            # the same verdicts, taken by halving: hi and lo, then midpoints
+            probes = [hi, lo]
+            while hi - lo > tol:
+                mid = (lo + hi) / 2
+                probes.append(mid)
+                if mid >= mpmath.log(2):
+                    hi = mid
+                else:
+                    lo = mid
+            assert lams == probes
+            assert got == (lo + hi) / 2
+
+    @pytest.mark.parametrize("factor", ["0.01", "30"])
+    def test_wrong_offender_height_keeps_answer_and_budget(self, factor):
+        def mislead(v):
+            z = v.worst_offender
+            if z is None:
+                return v
+            return replace(v, worst_offender=mpc(mpmath.re(z), mpmath.im(z) * mpf(factor)))
+
+        ctx = ctx_light()
+        with ctx.workdps(0):
+            tol = mpf("1e-6")
+            lams, patch = recording(mislead)
+            with patch:
+                got = est.bisect_lambda(
+                    two_atom_cosine(), 0, 1, Rectangle.make(-8, 8, -2, 2), tol, ctx
+                )
+            assert abs(got - mpmath.log(2)) < tol
+            assert len(lams) <= verdict_budget(mpf(0), mpf(1), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from dbnlab.precision import (
     DomainError,
     PrecisionContext,
     QuadratureError,
+    ResolutionError,
     WindingError,
 )
 from dbnlab.zeros import (
@@ -244,6 +245,27 @@ class TestLocateRealZeros:
             for r in roots:
                 assert abs(abs(r.location.real - mp.pi) - half_gap) < mpf("1e-4")
 
+    def test_unsettled_scan_is_refused(self, monkeypatch):
+        # with the budget at the first grid, one crossing count is all the
+        # scan has: the zeros of that grid are refused, not returned
+        monkeypatch.setattr(zeros, "AXIS_MAX_POINTS", zeros.AXIS_POINTS)
+        ctx = ctx30()
+        with ctx.workdps(0):
+            with pytest.raises(ResolutionError, match="129 points"):
+                locate_real_zeros(cosine_fn(), (0, 10), ctx)
+
+    def test_a_zero_on_a_grid_point_lets_the_scan_settle(self):
+        # 0 is a point of every odd-sized grid on [-5, 5]; its sign change
+        # must count alike on and off the grid, or the count alternates
+        # between grids and the scan is refused
+        ctx = ctx30()
+        with ctx.workdps(0):
+            f = as_analytic(lambda z: z * (z - 1) * (z + 2), lambda z: 3 * z * z + 2 * z - 2)
+            got = locate_real_zeros(f, (-5, 5), ctx, refine_tol=mpf("1e-15"))
+            assert len(got) == 3
+            for g, r in zip(got, (-2, 0, 1)):
+                assert abs(g.location - r) < mpf("1e-12")
+
     def test_riemann_weight_ordinates(self):
         ctx = ctx_cheap()
         with ctx.workdps(0):
@@ -374,6 +396,19 @@ class TestVerifyAllReal:
         for locate in (False, True):
             with pytest.raises(WindingError, match="exceed the winding count"):
                 verify_all_real(two_atom_cosine(), mpf(1), window, ctx, locate_offenders=locate)
+
+    def test_unsettled_scan_short_of_the_count_is_refused(self, monkeypatch):
+        # below log 2 the certified crossings stay short of the pair at
+        # pi +- iy; without the Kantorovich certificate the scan runs to its
+        # end, and with the budget at the first grid it ends unsettled
+        monkeypatch.setattr(zeros, "_certify_minimum", lambda fn, grid, window, tol: 0)
+        monkeypatch.setattr(zeros, "AXIS_MAX_POINTS", zeros.AXIS_POINTS)
+        ctx = ctx_light()
+        with pytest.raises(ResolutionError):
+            verify_all_real(
+                two_atom_cosine(), mpf("0.5"), Rectangle.make(-8, 8, -2, 2), ctx,
+                locate_offenders=False,
+            )
 
     @pytest.mark.parametrize("re_min, re_max", [(-8, 8), (-5, 9)])
     def test_a_path_count_off_an_integer_falls_back_to_the_whole_contour(
