@@ -18,10 +18,11 @@ estimate produced here is therefore explicitly window-relative.
 from __future__ import annotations
 
 import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from .measures import EvenMeasure, tail_set, transform_function
 from .precision import (
@@ -358,9 +359,12 @@ def lehmer_lower_bound(
     Indices are 1-based to match the ascending-table convention.  The
     interaction sum g_k runs over the symmetrized list (x_{-j} = -x_j)
     restricted to |x_j - x_k| <= truncation_radius; the full sum is
-    infinite, so the radius is recorded with the result.  A nonpositive
-    bracket 1 - (5/4) gap^2 g_k is a domain failure of the formula and is
-    reported, never clamped.
+    infinite, so the radius is recorded with the result.  The ascending
+    table puts the terms in two runs, x_j near x_k and x_j near -x_k,
+    which bisection finds; the exact test still decides each term, and
+    the terms are added in the order j = 1..n, +x_j before -x_j.  A
+    nonpositive bracket 1 - (5/4) gap^2 g_k is a domain failure of the
+    formula and is reported, never clamped.
     """
     ctx = ctx or PrecisionContext()
     n = len(table.ordinates)
@@ -374,10 +378,14 @@ def lehmer_lower_bound(
         xk = xs[k - 1]
         xk1 = xs[k]
         gap = xk1 - xk
+        # the two runs, padded past the rounding of the exact test
+        pad = (abs(xk) + radius) * mpf(2) ** (8 - mp.prec)
+        near = range(bisect_left(xs, xk - radius - pad), bisect_right(xs, xk + radius + pad))
+        mirrored = range(bisect_left(xs, -xk - radius - pad), bisect_right(xs, radius - xk + pad))
         g = mpf(0)
-        # signed index j runs over +-1..+-n, skipping j = k and j = k+1
-        for j in range(1, n + 1):
-            for x in (xs[j - 1], -xs[j - 1]):
+        # signed index +-j over the runs, skipping j = k and j = k+1
+        for i in sorted(set(near) | set(mirrored)):
+            for x in (xs[i], -xs[i]):
                 if x == xk or x == xk1:
                     continue
                 if abs(x - xk) > radius:

@@ -19,9 +19,9 @@ positive, which gives |H''| <= -H''(iy) on |Im z| <= y.  A density is
 f = exp(-g) unless its entry gives f itself, as Phi and the Gaussian
 convolution do.  A transform is compiled once per (measure, lambda): the
 closed-form factory of the kind does all the work that does not depend on z
-and returns an evaluator of z, which a TransformFunction keeps for all its
-points.  A MultipliedMeasure is not a kind: it wraps a base measure and
-shifts lambda.
+and returns an evaluator of z and its float64 twin, which a
+TransformFunction keeps for all its points.  A MultipliedMeasure is not a
+kind: it wraps a base measure and shifts lambda.
 
 A kind without a closed form, whose density must then be even and analytic
 on a strip about the real axis, takes a transform plan:
@@ -36,6 +36,17 @@ refines its plan, and past a node cap is refused with QuadratureError.
 AbsExpGaussian (e^{-a|t|} has a kink at 0) has an erfc closed form; the
 adaptive quadrature of numerics is only an independent reference.
 
+The float64 twin of an evaluator sums the same sites (cos sums of atoms,
+the Gaussian shape of the Gaussian, Case 6 and the convolution, the
+lattice sums of plans and of Case 8 at lambda < 0, and Case 8's exact form
+at lambda = 0) with stdlib math and cmath, and returns H, H', an a-priori
+bound on the rounding plus the route's own error, and a log scale that
+brings weights beyond the float range (the convolution's e^990 near b0)
+back into it.  AbsExpGaussian has none: it needs a complex erfc.  The twin serves
+decisions only, through TransformFunction.twin, which gives a value only
+where its bound is TWIN_MARGIN below |H|; every reported number stays
+mpmath.
+
 Atom convention: an entry (t, w) with t > 0 is the symmetric pair carrying
 total weight w, split w/2 at each of +-t; an entry (0, w) is a plain atom at
 the origin.  Evenness is therefore structural, not checked.
@@ -43,6 +54,8 @@ the origin.  Evenness is therefore structural, not checked.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -420,7 +433,7 @@ def _dbn_g_deriv(p, t):
 
 # ---------------------------------------------------------------------------
 # closed forms: each factory (p, lam, ctx) returns evaluate(z, parts) ->
-# (values by part, absolute error estimate)
+# (values by part, absolute error estimate), and its float64 twin or None
 # ---------------------------------------------------------------------------
 
 
@@ -452,6 +465,90 @@ def _cos_sums(origin, sites, z, parts, eps):
     if want_m2:
         out["moment2"] = cos2 / 2
     return out, size * eps
+
+
+# ---------------------------------------------------------------------------
+# float64 twins: each closed form and lattice sum also has a twin of z (a
+# Python complex) and deriv -> (v, d, err, s), with H(z) = (v +- err) e^s and
+# H'(z) ~ d e^s (d None without deriv); s is a float the twin picks, so it
+# carries no error of its own.  err is an a-priori rounding bound (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 3): gamma_n times the
+# sum of the terms' sizes, the argument reduction ~u |t z| of every cos and
+# exp, the rounding of weights and z to floats, and a few ulps of libm per
+# call, each counted twice over; plus the route's own error where it has
+# one.  TransformFunction.twin turns this into a decision value.
+# ---------------------------------------------------------------------------
+
+_U = 2.0**-53  # unit roundoff of float64
+_LN2 = math.log(2)
+
+
+def _cos_twin(origin, sites):
+    """The twin of _cos_sums over the same origin and sites.
+
+    Each site is kept as (t, sign W, ln|W|), the origin as a site at t = 0,
+    and s is the largest ln|W| + t |Im z|, so that no weight, however far
+    out of the float range (GaussianConvolution's reach e^990 near b0),
+    and no e^{t |Im z|} overflows: every term has size at most 1.
+    """
+    fsites = [
+        (float(t), float(mpmath.sign(W)), float(mpmath.log(abs(W))))
+        for t, W in [(mpf(0), origin)] + [site[:2] for site in sites]
+        if W
+    ]
+    n = len(fsites) + 8
+
+    def twin(z, deriv):
+        x, y = z.real, z.imag
+        reach = abs(x) + abs(y)
+        s = max(lw + t * abs(y) for t, _, lw in fsites)
+        vr = vi = dr = di = size = 0.0
+        for t, sign, lw in fsites:
+            # W e^{-s} (cosh ty, sinh ty) from e^{lw - s +- ty}, both <= 1
+            up, down = math.exp(lw - s + t * y), math.exp(lw - s - t * y)
+            ch, sh = sign * (up + down) / 2, sign * (up - down) / 2
+            c, sn = math.cos(t * x), math.sin(t * x)
+            vr += ch * c  # cos tz = cos tx cosh ty - i sin tx sinh ty
+            vi -= sh * sn
+            if deriv:  # -t sin tz = -t (sin tx cosh ty + i cos tx sinh ty)
+                dr -= t * ch * sn
+                di -= t * sh * c
+            size += max(up, down) * (n + abs(lw) + abs(s) + 2 * t * reach)
+        return complex(vr, vi), complex(dr, di) if deriv else None, 2 * _U * size, s
+
+    return twin
+
+
+def _lattice_twin(origin, fsites, z, deriv):
+    """The twin of _lattice_sums with halving, over float sites (W_k,
+    W_k t_k), k = 1, 2, ...: the value and H' (None without deriv), the
+    step-halving difference of the parts (see _lattice_sums) and the
+    rounding bound, all in the units of the weights.
+
+    q^k by repeated products carries k times the relative error of q
+    (libm and the reduction of z) and of one complex product.  A weight
+    that underflows is off by at most 2^-1074, far below the bound of the
+    largest term.
+    """
+    x, y = z.real, z.imag
+    q, q_inv, grow = cmath.exp(complex(-y, x)), cmath.exp(complex(y, -x)), math.exp(abs(y))
+    E = E_inv = 1 + 0j
+    amp, size, odd = 1.0, abs(origin), 0
+    cos, sin = [0j, 0j], [0j, 0j]  # [even k, odd k]
+    for W, Wt in fsites:
+        E, E_inv, amp, odd = E * q, E_inv * q_inv, amp * grow, odd ^ 1
+        size += abs(W) * amp
+        cos[odd] += W * (E + E_inv)
+        if deriv:
+            sin[odd] += Wt * (E - E_inv)
+    value = (cos[0] + cos[1]) / 2 + origin
+    gap = abs((cos[1] - cos[0]) / 2 - origin)
+    d = None
+    if deriv:
+        d = 1j * (sin[0] + sin[1]) / 2
+        gap = max(gap, abs((sin[1] - sin[0]) / 2))
+    k = len(fsites)
+    return value, d, gap, 2 * _U * size * (k * (6 + 2 * abs(z)) + 8)
 
 
 def _lattice_sums(origin, sites, z, parts, eps, halving=False):
@@ -512,11 +609,11 @@ def _rounding_eps():
 
 
 def _atom_sum(atoms):
-    """Evaluator of the transform of the atoms (t, W) at lam = 0."""
+    """Evaluator and twin of the transform of the atoms (t, W) at lam = 0."""
     origin = sum((W for t, W in atoms if t == 0), mpf(0))
     sites = sorted((t, W, W * t, W * t * t) for t, W in atoms if t != 0)
     eps = _rounding_eps()
-    return lambda z, parts: _cos_sums(origin, sites, z, parts, eps)
+    return lambda z, parts: _cos_sums(origin, sites, z, parts, eps), _cos_twin(origin, sites)
 
 
 def _closed_form_err(vals, eps):
@@ -546,17 +643,46 @@ def _gaussian_shape_parts(c, k, S, z, parts, eps, S_err=0):
     return out, err
 
 
+def _gaussian_shape_twin(c, k, S):
+    """The twin of _gaussian_shape_parts, from the twin S(z, deriv) of S.
+
+    |k e^{-z^2/(4c)}| joins the scale as ln k - Re z^2/(4c), so that a small
+    c underflows nothing; the relative error of that factor (z^2, ln k,
+    the phase and the sum that makes the scale) goes into the bound.
+    """
+    q, ln_k = float(1 / (4 * c)), float(mpmath.log(k))
+
+    def twin(z, deriv):
+        s_v, s_d, s_err, s_scale = S(z, deriv)
+        w = z * z * q
+        scale = ln_k - w.real + s_scale
+        phase = complex(math.cos(w.imag), -math.sin(w.imag))
+        d = phase * (s_d - 2 * q * z * s_v) if deriv else None
+        rel = 2 * _U * (8 + 5 * abs(w) + abs(ln_k) + abs(s_scale) + abs(scale))
+        return phase * s_v, d, s_err * (1 + rel) + abs(s_v) * rel, scale
+
+    return twin
+
+
 def _gaussian_closed(p, lam, ctx):
     c = p["b0"] - lam
     k, eps = mpmath.sqrt(mp.pi / c), _rounding_eps()
-    return lambda z, parts: _gaussian_shape_parts(c, k, (1, 0, 0), z, parts, eps)
+    return (lambda z, parts: _gaussian_shape_parts(c, k, (1, 0, 0), z, parts, eps),
+            _gaussian_shape_twin(c, k, lambda z, deriv: (1, 0, 0.0, 0.0)))
 
 
 def _case6_closed(p, lam, ctx):
     # rho = (1 + x) e^{-x^2}, so S(z) = 1 + iz/(2 alpha) with alpha = 1 - lam
     alpha = 1 - lam
     k, s1, eps = mpmath.sqrt(mp.pi / alpha), mpc(0, 1) / (2 * alpha), _rounding_eps()
-    return lambda z, parts: _gaussian_shape_parts(alpha, k, (1 + s1 * z, s1, 0), z, parts, eps)
+    s1_f = float(s1.imag)
+
+    def S_twin(z, deriv):
+        s1z = complex(-s1_f * z.imag, s1_f * z.real)
+        return 1 + s1z, 1j * s1_f, 4 * _U * (1 + abs(s1z)), 0.0
+
+    return (lambda z, parts: _gaussian_shape_parts(alpha, k, (1 + s1 * z, s1, 0), z, parts, eps),
+            _gaussian_shape_twin(alpha, k, S_twin))
 
 
 def _conv_closed(p, lam, ctx):
@@ -564,7 +690,8 @@ def _conv_closed(p, lam, ctx):
     # to S: an atomic transform at positions b0 t/c
     b0 = p["b0"]
     c = b0 - lam
-    S = _atom_sum([(b0 * t / c, w * mpmath.exp(b0 * t * t * (b0 / c - 1))) for t, w in p["atoms"]])
+    S, S_twin = _atom_sum([(b0 * t / c, w * mpmath.exp(b0 * t * t * (b0 / c - 1)))
+                           for t, w in p["atoms"]])
     k, eps = mpmath.sqrt(b0 / c), _rounding_eps()
 
     def evaluate(z, parts):
@@ -573,7 +700,7 @@ def _conv_closed(p, lam, ctx):
         S2 = (s["value"], s.get("deriv"), -s.get("moment2", 0))
         return _gaussian_shape_parts(c, k, S2, z, parts, eps, s_err)
 
-    return evaluate
+    return evaluate, _gaussian_shape_twin(c, k, S_twin)
 
 
 @lru_cache(maxsize=4096)
@@ -588,12 +715,12 @@ def _case8_weight(k: int, dps: int) -> mpf:
 def _case8_closed(p, lam, ctx):
     if lam == 0:
         eps = _rounding_eps()
-        return lambda z, parts: _case8_exact(z, parts, eps)
+        return lambda z, parts: _case8_exact(z, parts, eps), _case8_exact_twin
     # lam < 0 (the tail set is ClosedUpTo 0): the atoms weighted by e^{lam k^2},
     # as (k, W_k, k W_k, k^2 W_k), grown as far as the points evaluated need
     dps, tol, eps = mp.dps, mpf(10) ** (-(ctx.tol_digits + 5)), _rounding_eps()
     origin = _case8_weight(0, dps)
-    sites = []
+    sites, fsites = [], []  # fsites: (W_k, k W_k) as floats, for the twin
 
     def weight(k):
         while len(sites) < k:
@@ -604,13 +731,19 @@ def _case8_closed(p, lam, ctx):
             sites.append((j, W, j * W, j * j * W))
         return sites[k - 1][1]
 
+    def fweight(k):
+        weight(k)
+        fsites.extend((float(W), float(Wt)) for _, W, Wt, _ in sites[len(fsites):])
+        return fsites[k - 1][0]
+
+    # keep every atom before the first k > 3 whose term W_k e^{|Im z| k} is
+    # below tol, and bound what is dropped there: with m the highest power of
+    # k the parts carry, the terms k^m W_k e^{|Im z| k} shrink past k by at
+    # most the ratio r, because I_{k+1}(1) <= I_k(1)/(2(k+1)) and every
+    # factor of r falls with k when lam <= 0.  r < 1 at the cut: r >= 1
+    # there would make W_k e^{|Im z| k} >= 4 (as I_k(1) >= 2^-k/k!)
+
     def evaluate(z, parts):
-        # keep every atom before the first k > 3 whose term W_k e^{|Im z| k}
-        # is below tol, and bound what is dropped there: with m the highest
-        # power of k the parts carry, the terms k^m W_k e^{|Im z| k} shrink
-        # past k by at most the ratio r, because I_{k+1}(1) <= I_k(1)/(2(k+1))
-        # and every factor of r falls with k when lam <= 0.  r < 1 at the cut:
-        # r >= 1 there would make W_k e^{|Im z| k} >= 4 (as I_k(1) >= 2^-k/k!)
         m = 2 if "moment2" in parts else 1 if "deriv" in parts else 0
         eg = mpmath.exp(abs(z.imag))
         amp, k = eg, 1
@@ -621,7 +754,23 @@ def _case8_closed(p, lam, ctx):
         vals, _, err = _lattice_sums(origin, sites[: k - 1], z, parts, eps)
         return vals, err + mpf(k) ** m * weight(k) * amp / (1 - r)
 
-    return evaluate
+    origin_f, lam_f, tol_f = float(origin), float(lam), float(tol)
+
+    def twin(z, deriv):
+        # the cut and the tail bound of evaluate, in floats
+        m = 1 if deriv else 0
+        eg = math.exp(abs(z.imag))
+        amp, k = eg, 1
+        while k <= 3 or fweight(k) * amp >= tol_f:
+            amp, k = amp * eg, k + 1
+        r = ((1 + (k + 1) ** 2) * eg * math.exp(lam_f * (2 * k + 1)) * (k + 1) ** (m - 1)
+             / (2 * (1 + k * k) * k**m))
+        if not r < 1:
+            return None
+        v, d, _, rounding = _lattice_twin(origin_f, fsites[: k - 1], z, deriv)
+        return v, d, rounding + k**m * fweight(k) * amp / (1 - r), 0.0
+
+    return evaluate, twin
 
 
 def _case8_exact(z, parts, eps):
@@ -638,6 +787,21 @@ def _case8_exact(z, parts, eps):
         h2 = -(c * (1 + 3 * c + c * c) - s * s * (4 + 5 * c + c * c)) * E / 2
         out["moment2"] = -h2
     return out, _closed_form_err(out, eps)
+
+
+def _case8_exact_twin(z, deriv):
+    """The twin of _case8_exact, with the scale Re cos z - 1 of e^{c - 1}.
+
+    dc bounds the error of c = cos z (libm, and the reduction of z); it
+    reaches H through c (1 + c) and through the exponent.
+    """
+    c = cmath.cos(z)
+    phase = cmath.exp(complex(0, c.imag))
+    C = abs(c)
+    dc = _U * math.cosh(z.imag) * (4 + 3 * abs(z))
+    err = dc * (1 + 3 * C + C * C) + _U * C * (1 + C) * (C + 8)
+    d = -cmath.sin(z) * (1 + 3 * c + c * c) * phase / 2 if deriv else None
+    return c * (1 + c) * phase / 2, d, err, c.real - 1
 
 
 def _absexp_closed(p, lam, ctx):
@@ -667,7 +831,7 @@ def _absexp_closed(p, lam, ctx):
         size = max(abs(pairs[q][0]) + abs(pairs[q][1]) for q in parts)
         return {q: pairs[q][0] + pairs[q][1] for q in parts}, max(size, 1) * eps
 
-    return evaluate
+    return evaluate, None  # a complex erfc has no float64 twin here
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +854,9 @@ class _Kind:
     g_deriv: callable = None  # (p, t) -> g'(t)
     t_min: callable = lambda p: 0.25
     density: callable = None  # (p, t, dps) -> f(t) to dps digits, where f != exp(-g)
-    # (p, lam, ctx) -> evaluate(z, parts) -> (values, error estimate), built
-    # once per (measure, lam) with all the work that does not depend on z.
+    # (p, lam, ctx) -> (evaluate, twin): evaluate(z, parts) -> (values, error
+    # estimate) and its float64 twin or None, built once per (measure, lam)
+    # with all the work that does not depend on z.
     # Without one a kind takes a trapezoid plan, which converges fast only
     # if f is even and analytic on a strip about the real axis: it must be
     closed: callable = None
@@ -890,6 +1055,8 @@ class _Plan:
             t, c = self.T * k / n, 2 * self.h * wf[k]
             self.sites.append((t, c, c * t, c * t * t))
         self.corner_gap = self._sums(self.corner, _ALL_PARTS)[1]
+        self.fsites = [(float(c), float(ct)) for _, c, ct, _ in self.sites]
+        self.f_origin, self.f_h = float(self.origin), float(self.h)
 
     def refine(self):
         """Halve h: the new odd nodes join the old ones, which keep f."""
@@ -914,6 +1081,16 @@ class _Plan:
         vals, gap, rounding = self._sums(z, parts)
         return vals, max(gap, self.corner_gap) + rounding * self.reach + self.tail
 
+    def twin(self, z, deriv):
+        """The twin of evaluate for value and deriv: its bound is the larger
+        of the float step-halving differences and the corner's, the tail,
+        and twice the rounding bound (the difference is a float sum too).
+        The weights are a density's, far inside the float range: a weight
+        that overflows makes a value that is not finite, which the caller
+        refuses."""
+        v, d, gap, rounding = _lattice_twin(self.f_origin, self.fsites, z * self.f_h, deriv)
+        return v, d, max(gap, float(self.corner_gap)) + float(self.tail) + 2 * rounding, 0.0
+
 
 def _over_cap(T):
     return QuadratureError(
@@ -925,26 +1102,37 @@ def _planned(measure: EvenMeasure, lam, ctx: PrecisionContext):
     """evaluate(z, parts) through the plan of the box about z; a point whose
     estimate exceeds tol refines that plan, and past the node cap is refused
     with QuadratureError.  The box rounds |Re z| up to a multiple of 8 and
-    |Im z| up to an integer, so a verdict builds only a few plans."""
+    |Im z| up to an integer, so a verdict builds only a few plans.  The
+    twin takes the plan evaluate built for the box, and leaves a box
+    without one, and a point over tol, to evaluate."""
     dps, tol = mp.dps, ctx.target_abs_tol
+    tol_f = float(tol)
+
+    def key(x, y):
+        return (measure, lam, 8 * max(1, int(mpmath.ceil(x / 8))), int(mpmath.ceil(y)), dps, tol)
 
     def evaluate(z, parts):
-        X = 8 * max(1, int(mpmath.ceil(abs(z.real) / 8)))
-        Y = int(mpmath.ceil(abs(z.imag)))
-        key = (measure, lam, X, Y, dps, tol)
-        plan = _PLANS.get(key)
+        k = key(abs(z.real), abs(z.imag))
+        plan = _PLANS.get(k)
         if plan is None:
-            plan = _Plan(measure, lam, X, Y, tol)
+            plan = _Plan(measure, lam, k[2], k[3], tol)
             if len(_PLANS) >= _PLAN_CACHE:
                 del _PLANS[next(iter(_PLANS))]
-            _PLANS[key] = plan
+            _PLANS[k] = plan
         while True:
             vals, err = plan.evaluate(z, parts)
             if err <= tol:
                 return vals, err
             plan.refine()
 
-    return evaluate
+    def twin(z, deriv):
+        plan = _PLANS.get(key(abs(z.real), abs(z.imag)))
+        if plan is None:
+            return None
+        got = plan.twin(z, deriv)
+        return got if got[2] <= tol_f else None
+
+    return evaluate, twin
 
 
 # ---------------------------------------------------------------------------
@@ -953,28 +1141,42 @@ def _planned(measure: EvenMeasure, lam, ctx: PrecisionContext):
 
 
 def _compile(measure: EvenMeasure, lam, ctx: PrecisionContext):
-    """evaluate(z, parts) -> {part: TransformEval} of H_{measure,lam}, with
-    the entireness check, multiplied measures and the kind's factory done
-    once.  A kind without a closed form takes a trapezoid plan."""
+    """evaluate(z, parts) -> {part: TransformEval} of H_{measure,lam}, and
+    its float64 twin (None for a kind without one), with the entireness
+    check, multiplied measures and the kind's factory done once.  A kind
+    without a closed form takes a trapezoid plan."""
     _require_evaluable(measure, lam)
     if measure.kind == "MultipliedMeasure":
-        inner = _compile(measure.base, measure.lam + lam, ctx)
+        inner, inner_twin = _compile(measure.base, measure.lam + lam, ctx)
         norm = measure.norm
-        return inner if norm is None else lambda z, parts: {
+        if norm is None:
+            return inner, inner_twin
+        sign, ln_norm = float(mpmath.sign(norm)), float(mpmath.log(abs(norm)))
+
+        def twin(z, deriv):
+            got = inner_twin(z, deriv)
+            if got is None:
+                return None
+            v, d, err, scale = got
+            shifted = scale - ln_norm
+            err += abs(v) * 2 * _U * (2 + abs(ln_norm) + abs(shifted))
+            return sign * v, d and sign * d, err, shifted
+
+        return (lambda z, parts: {
             p: TransformEval(te.value / norm, te.abs_error_estimate / abs(norm), lam, z, te.n_evals)
             for p, te in inner(z, parts).items()
-        }
+        }), inner_twin and twin
     spec = _kind_of(measure)
     if spec.closed is not None:
-        closed = spec.closed(_params(measure), lam, ctx)
+        closed, twin = spec.closed(_params(measure), lam, ctx)
     else:
-        closed = _planned(measure, lam, ctx)
+        closed, twin = _planned(measure, lam, ctx)
 
     def evaluate(z, parts):
         vals, err = closed(z, parts)
         return {p: TransformEval(vals[p], err, lam, z, 0) for p in parts}
 
-    return evaluate
+    return evaluate, twin
 
 
 def eval_H_parts(
@@ -990,7 +1192,7 @@ def eval_H_parts(
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps(10):
-        evaluate = compiled or _compile(measure, mpf(lam), ctx)
+        evaluate = compiled or _compile(measure, mpf(lam), ctx)[0]
         return evaluate(mpc(z), parts)
 
 
@@ -998,13 +1200,17 @@ def eval_H(measure, lam, z, ctx: PrecisionContext = None) -> TransformEval:
     return eval_H_parts(measure, lam, z, ctx, parts=("value",))["value"]
 
 
+#: a twin's value stands for H only where its bound is this factor below it
+TWIN_MARGIN = 2.0**20
+
+
 class TransformFunction:
     """H_{rho,lam} packaged as a complex function with analytic derivative.
 
-    The zeros module consumes this interface.  The evaluator is built once,
-    at construction; every call still enters through eval_H_parts.
-    value_and_derivative shares one pass: one closed-form evaluation or one
-    lattice sum of a plan.
+    The zeros module consumes this interface.  The evaluator and its float64
+    twin are built once, at construction; every mpmath call still enters
+    through eval_H_parts, while twin bypasses it.  value_and_derivative
+    shares one pass: one closed-form evaluation or one lattice sum of a plan.
     """
 
     def __init__(self, measure: EvenMeasure, lam, ctx: PrecisionContext = None):
@@ -1013,7 +1219,38 @@ class TransformFunction:
         with self.ctx.workdps():
             self.lam = mpf(lam)
         with self.ctx.workdps(10):
-            self._compiled = _compile(measure, self.lam, self.ctx)
+            self._compiled, self._twin = _compile(measure, self.lam, self.ctx)
+
+    def twin(self, z, deriv=False):
+        """H(z), and H'(z) when deriv, from the float64 twin of the evaluator,
+        for decisions only: (v, d, err, n) with |H(z) - v 2^n| <= err 2^n,
+        err <= |v| / TWIN_MARGIN, and H'(z) ~ d 2^n (d None without deriv).
+
+        None when the kind has no twin, the twin has no value at z (a plan
+        box not built yet, a point over tol, an overflow), or its bound is
+        not TWIN_MARGIN below |v|: that point takes mpmath.  The scale e^s
+        of the twin becomes 2^n times a factor in [0.7, 1.42] that joins v.
+        """
+        if self._twin is None:
+            return None
+        try:
+            got = self._twin(complex(z), deriv)
+            if got is None:
+                return None
+            v, d, err, s = got
+            n = round(s / _LN2)
+            f = math.exp(s - n * _LN2)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            return None
+        err = (err + abs(v) * _U * (abs(s) + 4)) * f
+        v = v * f
+        if not TWIN_MARGIN * err <= abs(v) < math.inf:
+            return None
+        if deriv:
+            d = d * f
+            if not cmath.isfinite(d):
+                return None
+        return v, d, err, n
 
     def parts(self, z, parts):
         """{part: TransformEval} at z for parts among value, deriv, moment2,

@@ -39,6 +39,15 @@ along one edge.)  Subdivision lines are placed where a 13-point sample of
 |f| stays clear of zero, and never on the real axis of a function real
 there, where its real zeros sit; a dip on any sub-rectangle still restarts
 the whole count or location on the grown and shifted window.
+
+Float64 twins: the edge integrands (winding and power sums), the axis
+scan's values and error estimates, and the |f| samples of the split lines
+ask fn.twin first (see TransformFunction.twin).  It answers with a float
+value whose rounding bound lies 2^20 below it, so that its sign is the
+mpmath value's and f'/f moves far less than a winding count can notice,
+or with None (always for an AnalyticFunction), and a None point takes
+mpmath.  Newton polishing, the Kantorovich certificates, root bisection
+and every reported number stay mpmath.
 """
 
 from __future__ import annotations
@@ -240,6 +249,10 @@ class AnalyticFunction:
         """f(z) and its error estimate; a plain function comes with none (0)."""
         return self._f(z), mpf(0)
 
+    def twin(self, z, deriv=False):
+        """No float64 twin (see TransformFunction.twin): every point takes f."""
+        return None
+
     def real_on_axis(self):
         return self._real
 
@@ -276,11 +289,16 @@ def _edge_pass(fn, za, zb, abs_tol, stats, moments=None):
 
     def integrand(t):
         z = za + t * dz
-        try:
-            v, d = fn.value_and_derivative(z)
-        except QuadratureError as e:
-            raise _EvaluatorFailed(e) from e
-        av = abs(v)
+        got = fn.twin(z, deriv=True)
+        if got is None:
+            try:
+                v, d = fn.value_and_derivative(z)
+            except QuadratureError as e:
+                raise _EvaluatorFailed(e) from e
+            av = abs(v)
+        else:
+            v, d, _, shift = got
+            av = mpmath.ldexp(abs(v), shift)
         if av < stats["min"]:
             stats["min"] = av
             stats["argmin"] = z
@@ -364,7 +382,8 @@ def _choose_split(fn, rect: Rectangle):
     def line_min(points):
         lo, hi = mpf("inf"), mpf(0)
         for z in points:
-            a = abs(fn(z))
+            got = fn.twin(z)
+            a = abs(fn(z)) if got is None else mpmath.ldexp(abs(got[0]), got[3])
             lo = min(lo, a)
             hi = max(hi, a)
         return lo, hi
@@ -722,9 +741,17 @@ def _golden_scan(fn, a, b, n, max_points):
         xs = [a + (b - a) * mpf(i) / (n - 1) for i in range(n)]
         vals, errs = [], []
         for x in xs:
-            v, e = fn.value_and_error(mpc(x, 0))
-            vals.append(mpmath.re(v))
-            errs.append(e)
+            z = mpc(x, 0)
+            got = fn.twin(z)
+            if got is None:
+                v, e = fn.value_and_error(z)
+                vals.append(mpmath.re(v))
+                errs.append(e)
+            else:
+                # the bound, and the rounding of Re v to the working precision
+                v, _, e, shift = got
+                vals.append(mpmath.ldexp(v.real, shift))
+                errs.append(mpmath.ldexp(e + abs(v.real) * 2.0**-mp.prec, shift))
         crossings = [
             i
             for i in range(n - 1)
@@ -748,21 +775,26 @@ def _golden_scan(fn, a, b, n, max_points):
         n = int(n * mpf("1.618")) + 1
 
 
-def _double_zero_candidates(grid):
-    """Grid points i where |f| has a local minimum below the gate with no
-    sign change on either side: the possible double zeros (or near-axis
-    nonreal pairs) of a scan.  The gate allows for grid-resolution distance
-    from a quadratic minimum."""
-    xs, vals, _, crossings, cell = grid
-    gate = (max(abs(v) for v in vals) + mpf(10) ** (-mp.dps)) * min(mpf(1), 64 * cell * cell)
+def _quiet_minima(grid):
+    """Interior grid points i where |f| has a local minimum with no sign
+    change on either side."""
+    vals, crossed = grid.vals, set(grid.crossings)
     return [
         i
-        for i in range(1, len(xs) - 1)
-        if abs(vals[i]) < gate
-        and abs(vals[i]) <= min(abs(vals[i - 1]), abs(vals[i + 1]))
-        and i - 1 not in crossings
-        and i not in crossings
+        for i in range(1, len(vals) - 1)
+        if abs(vals[i]) <= min(abs(vals[i - 1]), abs(vals[i + 1]))
+        and i - 1 not in crossed
+        and i not in crossed
     ]
+
+
+def _double_zero_candidates(grid):
+    """The quiet minima where |f| is below the gate: the possible double
+    zeros (or near-axis nonreal pairs) of a scan.  The gate allows for
+    grid-resolution distance from a quadratic minimum."""
+    vals, cell = grid.vals, grid.cell
+    gate = (max(abs(v) for v in vals) + mpf(10) ** (-mp.dps)) * min(mpf(1), 64 * cell * cell)
+    return [i for i in _quiet_minima(grid) if abs(vals[i]) < gate]
 
 
 def _zeros_on_grid(fn, grid, tol, ctx):
@@ -1034,7 +1066,9 @@ def _axis_count(fn, window: Rectangle, total, tol, ctx):
 
 
 def _certify_minimum(fn, grid, window: Rectangle, tol):
-    """Zeros next to the deepest double-zero candidate x_i of grid, proved by
+    """Zeros next to the deepest double-zero candidate x_i of grid, or
+    without one, next to the deepest quiet minimum (a nonreal pair far off
+    the axis leaves too shallow a minimum for the gate), proved by
     Kantorovich's theorem: an _Offender, or the number of real zeros (0 or
     2) certified in (x_{i-1}, x_{i+1}).  Neither cell there has a sign
     change, so those zeros are not among the grid's certified crossings.
@@ -1051,7 +1085,7 @@ def _certify_minimum(fn, grid, window: Rectangle, tol):
     """
     if not hasattr(fn, "second_derivative_bound"):
         return 0
-    candidates = _double_zero_candidates(grid)
+    candidates = _double_zero_candidates(grid) or _quiet_minima(grid)
     if not candidates:
         return 0
     i = min(candidates, key=lambda i: abs(grid.vals[i]))

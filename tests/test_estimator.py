@@ -322,6 +322,32 @@ def brute_force_g(xs, k, radius):
     return total
 
 
+def plain_loop_lehmer(xs, k, radius):
+    """g_k and lambda_k of the loop over all 2n signed ordinates, in the order
+    j = 1..n, +x_j before -x_j: the reference the narrowed sweep must match
+    bit for bit."""
+    xk, xk1 = xs[k - 1], xs[k]
+    gap, g = xk1 - xk, mpf(0)
+    for j in range(1, len(xs) + 1):
+        for x in (xs[j - 1], -xs[j - 1]):
+            if x == xk or x == xk1:
+                continue
+            if abs(x - xk) > radius:
+                continue
+            g += 1 / ((xk - x) ** 2) + 1 / ((xk1 - x) ** 2)
+    bracket = 1 - mpf(5) / 4 * gap * gap * g
+    if bracket < 0:
+        raise DomainError("negative bracket")
+    return g, (bracket ** (mpf(4) / 5) - 1) / (8 * g)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (DomainError, ZeroDivisionError) as e:  # no term within the radius: g = 0
+        return type(e)
+
+
 class TestLehmerLowerBound:
     def test_arithmetic_table_matches_oracle(self):
         ctx = ctx30()
@@ -392,6 +418,38 @@ class TestLehmerLowerBound:
             # determinism across a repeat run
             again = est.lehmer_lower_bound(table, defined[0].k, 100, ctx)
             assert abs(again.lambda_k - defined[0].lambda_k) < mpf("1e-9")
+
+    def test_narrowed_sweep_is_bit_identical_to_the_plain_loop(self):
+        # dyadic ordinates make every |x_j - x_k| and x_j + x_k exact: at k = 6
+        # (the close pair 7, 7.25) the radii 3 and 9.5 land exactly on the
+        # distances |4 - 7| and |-2.5 - 7|, and the exact test keeps both terms
+        ctx = ctx_light()
+        with ctx.workdps():
+            dyadic = tuple(mpf(x) for x in ("0.75", "1", "2.5", "4", "5.5", "7", "7.25", "12"))
+            table = est.ingest_zero_table((DATA / "xi_zeros_100.txt").read_text(), ctx=ctx)
+            xs = table.ordinates
+            cases = [(dyadic, r) for r in ("3", "9.5", "0.25", "100")]
+            # at k = 34 the radius x_34 - x_1 keeps x_1, though x_34 - radius
+            # rounds to a number above x_1
+            assert xs[33] - (xs[33] - xs[0]) > xs[0]
+            cases += [(xs, r) for r in (xs[33] - xs[0], 2 * xs[3], "5", "100")]
+        defined = 0
+        for ordinates, radius in cases:
+            for k in range(1, len(ordinates)):
+                with ctx.workdps():
+                    want = _outcome(lambda: plain_loop_lehmer(ordinates, k, mpf(radius)))
+
+                def narrowed():
+                    rec = est.lehmer_lower_bound(est.ZeroTable(ordinates), k, radius, ctx)
+                    return rec.g_k, rec.lambda_k
+
+                assert _outcome(narrowed) == want, (k, radius)
+                defined += isinstance(want, tuple)
+        assert defined >= 20
+        with ctx.workdps():
+            for radius in ("3", "9.5"):
+                on, inside = (plain_loop_lehmer(dyadic, 6, mpf(radius) - d)[0] for d in (0, 1e-3))
+                assert on > inside
 
     def test_out_of_range_k(self):
         ctx = ctx30()

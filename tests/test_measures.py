@@ -775,6 +775,123 @@ class TestAbsExpClosedForm:
 
 
 # ---------------------------------------------------------------------------
+# float64 twins: each within its bound of the mpmath value
+# ---------------------------------------------------------------------------
+
+
+def _assert_twin_within_bound(m, lam, z):
+    """The raw twin at z (when it has a value) lies within its bound plus
+    the mpmath estimate of the mpmath value, its scale taken exactly; the
+    decision value TransformFunction.twin returns, when it returns one,
+    lies within its bound too, and that bound is TWIN_MARGIN below it.  H'
+    has no bound of its own: it must agree to 1e-8 of |H| + |H'|."""
+    fn = transform_function(m, lam, LIGHT)
+    parts = fn.parts(z, ("value", "deriv"))  # builds a plan box first
+    te, deriv = parts["value"], parts["deriv"].value
+    raw = fn._twin(complex(z), True)
+    got = fn.twin(z, deriv=True)
+    with mp.workdps(50):
+        if raw is not None:
+            v, _, err, s = raw
+            scale = mpmath.exp(s)
+            assert abs(mpc(v) * scale - te.value) <= err * scale + te.abs_error_estimate, (z, raw)
+        if got is not None:
+            v, d, err, n = got
+            assert err * measures.TWIN_MARGIN <= abs(v)
+            assert abs(mpc(v) * mpf(2) ** n - te.value) <= (
+                err * mpf(2) ** n + te.abs_error_estimate
+            ), (z, got)
+            slack = mpf("1e-8") * (abs(te.value) + abs(deriv)) + te.abs_error_estimate
+            assert abs(mpc(d) * mpf(2) ** n - deriv) <= slack, (z, got)
+    return raw, got
+
+
+TWIN_Z = dict(re=st.floats(-8, 8), im=st.floats(-3, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs=ATOM_STRATEGY, lam=st.floats(-1, 1.5), **TWIN_Z)
+def test_property_cos_sum_twin_within_bound(pairs, lam, re, im):
+    """_cos_sums (SymmetricAtoms)."""
+    _assert_twin_within_bound(symmetric_atoms(pairs), mpf(lam), mpc(re, im))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["Gaussian", "Case6", "GaussianConvolution"]),
+    pairs=ATOM_STRATEGY,
+    frac=st.floats(-1, 0.999),
+    **TWIN_Z,
+)
+def test_property_gaussian_shape_twin_within_bound(kind, pairs, frac, re, im):
+    """_gaussian_shape_parts: the Gaussian, Case 6, and the convolution up
+    to lam = 0.999 b0, where its weights leave the float range."""
+    with LIGHT.workdps():
+        if kind == "GaussianConvolution":
+            pairs = [(0, 0.6)] + [(t, w) for t, w in pairs if t > 0.1]
+            m = convolve_gaussian(symmetric_atoms(pairs), 10, LIGHT)
+            lam = 10 * mpf(frac)
+        elif kind == "Gaussian":
+            m, lam = named_density("Gaussian", LIGHT, b0=2), 2 * mpf(frac)
+        else:
+            m, lam = named_density("Case6", LIGHT), mpf(frac)
+    _assert_twin_within_bound(m, lam, mpc(re, im))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(PLAN_KINDS + ["Case8"]),
+    frac=st.floats(0, 1),
+    re=st.floats(-12, 12),
+    im=st.floats(-2, 2),
+)
+def test_property_lattice_twin_within_bound(name, frac, re, im):
+    """_lattice_sums: every plan kind (lam as in the plan reference test)
+    and Case 8 at lam < 0, with its cut and tail bound."""
+    m = parse_measure_spec(KIND_SPECS[name], LIGHT)
+    ts = tail_set(m)
+    if name == "Case8":
+        lam = -mpf("1e-3") - mpf(frac)
+    else:
+        hi = mpf(1) if ts.shape == "AllReals" else min(mpf(1), ts.b0 - mpf(1) / 2)
+        lam = -1 + mpf(frac) * (hi + 1)
+    raw, _ = _assert_twin_within_bound(m, lam, mpc(re, im))
+    assert raw is not None
+
+
+@settings(max_examples=30, deadline=None)
+@given(**TWIN_Z)
+def test_property_case8_exact_twin_within_bound(re, im):
+    """_case8_exact: c (1 + c) e^{c - 1} / 2 at lam = 0, double zeros at
+    odd multiples of pi included."""
+    raw, _ = _assert_twin_within_bound(named_density("Case8", LIGHT), mpf(0), mpc(re, im))
+    assert raw is not None
+
+
+class TestTwinCoverage:
+    def test_absexp_has_no_twin(self):
+        fn = transform_function(named_density("AbsExpGaussian", LIGHT, a=1, lam=1), 0, LIGHT)
+        assert fn.twin(mpc("0.5", "0.2"), deriv=True) is None
+
+    def test_a_zero_of_h_takes_mpmath(self):
+        # (2/3)(1 + cos z) at lam = log 2 has a double zero at pi
+        with LIGHT.workdps():
+            fn = transform_function(
+                symmetric_atoms([(0, mpf(2) / 3), (1, mpf(1) / 3)]), mpmath.log(2), LIGHT
+            )
+            assert fn.twin(mp.pi) is None
+            assert fn.twin(mpf(1)) is not None
+
+    def test_normalized_multiplier_scales_the_twin(self):
+        with LIGHT.workdps():
+            phi = named_density("RiemannPhi", LIGHT)
+            normed = apply_gaussian_multiplier(phi, mpf("0.1"), normalize=True, ctx=LIGHT)
+        for z in (mpf(0), mpc(3, "0.5")):
+            raw, got = _assert_twin_within_bound(normed, mpf(0), z)
+            assert raw is not None and got is not None
+
+
+# ---------------------------------------------------------------------------
 # the second-derivative bound of a positive measure
 # ---------------------------------------------------------------------------
 

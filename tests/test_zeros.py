@@ -916,3 +916,91 @@ def test_a_false_verdict_locates_against_its_own_count(monkeypatch):
     monkeypatch.setattr(zeros, "_count_with_rect", lambda *args: counts.append(args))
     v = verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-4, 4, -1, 1), ctx_light())
     assert v.all_real is False and counts == []
+
+
+# ---------------------------------------------------------------------------
+# float64 twins: decisions from twin values equal decisions from mpmath
+# ---------------------------------------------------------------------------
+
+
+def _record_twin(monkeypatch):
+    """Record (z, result) of every TransformFunction.twin call."""
+    calls, original = [], measures.TransformFunction.twin
+
+    def recorded(self, z, deriv=False):
+        got = original(self, z, deriv)
+        calls.append((z, got))
+        return got
+
+    monkeypatch.setattr(measures.TransformFunction, "twin", recorded)
+    return calls
+
+
+def _twin_off(monkeypatch):
+    monkeypatch.setattr(measures.TransformFunction, "twin", lambda self, z, deriv=False: None)
+
+
+def test_a_scan_point_next_to_a_zero_takes_mpmath(monkeypatch):
+    # 2/3 + (e/3) cos z has a real zero at x* = arccos(-2/e); the window
+    # [-a, a] with a = 2 (x* - 1e-15) puts the middle point a/2 of the first
+    # grid of the scan over [0, a] 1e-15 from x*, where |H| is below the
+    # twin's rounding bound
+    ctx = ctx_light()
+    with ctx.workdps(5):
+        measure, lam = two_atom_cosine(), mpf(1)
+        x_star = mpmath.acos(-2 / mpmath.e)
+        a = 2 * (x_star - mpf("1e-15"))
+        window = Rectangle(-a, a, mpf(-1), mpf(1))
+        fn = transform_function(measure, lam, ctx)
+    calls = _record_twin(monkeypatch)
+    with_twin = verify_all_real(measure, lam, window, ctx)
+    reals = locate_real_zeros(fn, (0, a), ctx)
+    with ctx.workdps(5):
+        count = _symmetric_count(fn, window)
+        at_zero = [got for z, got in calls if z == mpc(a / 2, 0)]
+    assert at_zero and all(got is None for got in at_zero)
+    assert sum(got is not None for _, got in calls) > 0.9 * len(calls)
+    _twin_off(monkeypatch)
+    assert verify_all_real(measure, lam, window, ctx) == with_twin
+    assert with_twin.all_real and count == 4
+    assert locate_real_zeros(fn, (0, a), ctx) == reals and len(reals) == 2
+    with ctx.workdps(5):
+        assert _symmetric_count(fn, window) == count
+
+
+def test_convolution_verdict_near_b0_runs_through_the_twin(monkeypatch):
+    # at lam = 0.99 b0 the smeared atom's weight is e^{990}, past the float
+    # range: the twin's scale keeps it in range, and the count and verdict
+    # equal those of mpmath alone
+    ctx = ctx_light()
+    with ctx.workdps():
+        measure = convolve_gaussian(symmetric_atoms([(0, "0.6"), (1, "0.4")]), 10, ctx)
+        lam, window = mpf("9.9"), Rectangle.make(-8, 8, -2, 2)
+        fn = transform_function(measure, lam, ctx)
+    calls = _record_twin(monkeypatch)
+    verdict = verify_all_real(measure, lam, window, ctx)
+    with ctx.workdps(5):
+        count = _symmetric_count(fn, window)
+    assert sum(got is not None for _, got in calls) > 0.9 * len(calls)
+    _twin_off(monkeypatch)
+    assert verify_all_real(measure, lam, window, ctx) == verdict and verdict.all_real
+    with ctx.workdps(5):
+        assert _symmetric_count(fn, window) == count
+
+
+def test_a_far_nonreal_pair_gets_a_certified_offender():
+    # {0: 5/6, +-1.6: 1/6} at lam = 0.238 has its pair at pi/1.6 +- 1.036i:
+    # the |H| minimum under it is too shallow for the double-zero gate, so
+    # the offender comes from the deepest quiet minimum of the scan
+    ctx = ctx_light()
+    with ctx.workdps():
+        w0, w1, t, lam = mpf(5) / 6, mpf(1) / 6, mpf("1.6"), mpf("0.238")
+        measure = symmetric_atoms([(0, w0), (t, w1)], ctx)
+        window = Rectangle.make("-3.93", "3.93", "-1.875", "1.875")
+    v = verify_all_real(measure, lam, window, ctx, locate_offenders=False)
+    assert v.all_real is False and v.offender_radius is not None
+    with mp.workdps(40):
+        y = mpmath.acosh(w0 / (w1 * mpmath.exp(lam * t * t))) / t
+        z = v.worst_offender
+        assert abs(abs(z.imag) - y) + abs(z.real - mp.pi / t) <= v.offender_radius
+        assert v.margin == abs(z.imag)
