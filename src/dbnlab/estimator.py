@@ -363,8 +363,9 @@ def lehmer_lower_bound(
     table puts the terms in two runs, x_j near x_k and x_j near -x_k,
     which bisection finds; the exact test still decides each term, and
     the terms are added in the order j = 1..n, +x_j before -x_j.  A
-    nonpositive bracket 1 - (5/4) gap^2 g_k is a domain failure of the
-    formula and is reported, never clamped.
+    nonpositive bracket 1 - (5/4) gap^2 g_k, or g_k = 0 (no term within
+    the radius), is a domain failure of the formula and is reported,
+    never clamped.
     """
     ctx = ctx or PrecisionContext()
     n = len(table.ordinates)
@@ -391,6 +392,12 @@ def lehmer_lower_bound(
                 if abs(x - xk) > radius:
                     continue
                 g += 1 / ((xk - x) ** 2) + 1 / ((xk1 - x) ** 2)
+        if g == 0:
+            raise DomainError(
+                "pair k=%d: no other ordinate lies within the truncation radius "
+                "%s, so g_k = 0 and the bound divides by it"
+                % (k, mpmath.nstr(radius, 8))
+            )
         bracket = 1 - mpf(5) / 4 * gap * gap * g
         if bracket < 0:
             raise DomainError(

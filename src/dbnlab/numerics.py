@@ -21,7 +21,12 @@ Four jobs live here:
 
 Everything computes with mpmath at the precision carried by a
 PrecisionContext and reports absolute error estimates, never bare values,
-where an estimate is meaningful.
+where an estimate is meaningful.  The one exception is integrate_adaptive
+on Python float ends, which sums in float64 for the contour integrals of
+zeros, whose results only feed decisions: winding counts and the power
+sums that seed Newton.  Its panel estimates carry a bound on their own
+rounding, so a panel float64 cannot resolve splits or fails; it is never
+accepted silently.
 """
 
 from __future__ import annotations
@@ -295,7 +300,77 @@ def _panel_sum(fn, a, b, nodes, ncomp):
         vals = fn(mid + half * x)
         for i in range(ncomp):
             acc[i] += w * vals[i]
-    return [v * half for v in acc]
+    # the estimate of this route is the rules' discrepancy alone
+    return [v * half for v in acc], (0,) * ncomp
+
+
+#: unit roundoff of float64
+_U = 2.0**-53
+
+
+#: fraction bits of the fixed point in which _gl_nodes_float takes weights
+_FIX_BITS = 128
+
+
+@lru_cache(maxsize=8)
+def _gl_nodes_float(n: int) -> tuple:
+    """Gauss-Legendre nodes/weights on [-1, 1] in float64.
+
+    Newton in float puts each node x within an ulp of the true one.  The
+    weight 2/((1 - x^2) P_n'(x)^2) would move by 2|x|/(1 - x^2) ulp with
+    that rounding (some 200 at n = 24), and more with the rounding of the
+    recurrence, so it is taken in 128-bit fixed point at the float x and
+    carried to the true node x + h, h = -P_n/P_n', to first order:
+    w = 2 (1 - x^2)/(D^2 - 2 x P_n D) with D = (1 - x^2) P_n' =
+    n (P_{n-1} - x P_n).  Each weight is then correctly rounded, or nearly.
+    """
+
+    def newton_node(x):
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dx = p1 * (x - 1) * (x + 1) / (n * (x * p1 - p0))
+            x -= dx
+            if abs(dx) < 1e-15:
+                break
+        return x
+
+    def weight(x):
+        one, X = 1 << _FIX_BITS, int(math.ldexp(x, _FIX_BITS))
+        p0, p1 = one, X
+        for k in range(2, n + 1):
+            p0, p1 = p1, (((2 * k - 1) * X * p1 >> _FIX_BITS) - (k - 1) * p0) // k
+        xp = X * p1 >> _FIX_BITS
+        s, d = one - (X * X >> _FIX_BITS), n * (p0 - xp)
+        return 2 * s * one / (d * d - 2 * xp * d)  # int / int rounds correctly
+
+    nodes = []
+    for i in range(1, n // 2 + 1):
+        x = newton_node(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
+        w = weight(x)
+        nodes.append((x, w))
+        nodes.append((-x, w))
+    if n % 2 == 1:
+        nodes.append((0.0, weight(0.0)))
+    return tuple(nodes)
+
+
+def _panel_sum_float(fn, a, b, nodes, ncomp):
+    """A panel's sums in complex, and for each a bound on its rounding:
+    (n + 4) u sum |w_i f_i| |half|, n the rule's node count."""
+    mid = (a + b) / 2
+    half = (b - a) / 2
+    acc = [0j] * ncomp
+    mag = [0.0] * ncomp
+    for x, w in nodes:
+        vals = fn(mid + half * x)
+        for i in range(ncomp):
+            v = vals[i]
+            acc[i] += w * v
+            mag[i] += w * abs(v)
+    scale = (len(nodes) + 4) * _U * abs(half)
+    return [v * half for v in acc], [m * scale for m in mag]
 
 
 def integrate_adaptive(
@@ -316,25 +391,36 @@ def integrate_adaptive(
     a-posteriori error estimate.  A panel is accepted when its estimate fits
     the share of abs_tol proportional to its width, otherwise it is split.
 
-    Returns (values: list, err_estimate: mpf, n_evals: int).
+    The arithmetic follows the ends: on mpf ends it is mpmath at the
+    current precision, and returns (values: list of mpc, err_estimate: mpf,
+    n_evals: int).  On Python float ends it is float64: fn gets floats and
+    may return complex values, the nodes come from float Newton, and each
+    rule's rounding bound joins its panel's estimate, so a panel that
+    float64 cannot resolve splits or raises QuadratureError.  It returns
+    (values: list of complex, err_estimate: float, n_evals: int).
     """
-    a, b = mpf(a), mpf(b)
-    abs_tol = mpf(abs_tol)
-    hi_nodes = _gl_nodes(order, mp.prec)
-    lo_nodes = _gl_nodes(low_order, mp.prec)
+    if isinstance(a, float) and isinstance(b, float):
+        rules = (_gl_nodes_float(order), _gl_nodes_float(low_order))
+        panel_sum, abs_tol = _panel_sum_float, float(abs_tol)
+        total, err_total = [0j] * ncomp, 0.0
+    else:
+        a, b = mpf(a), mpf(b)
+        abs_tol = mpf(abs_tol)
+        rules = (_gl_nodes(order, mp.prec), _gl_nodes(low_order, mp.prec))
+        panel_sum = _panel_sum
+        total, err_total = [mpc(0)] * ncomp, mpf(0)
     width_full = b - a
     stack = [(a, b, 0)]
-    total = [mpc(0)] * ncomp
-    err_total = mpf(0)
     n_evals = 0
     while stack:
         pa, pb, depth = stack.pop()
-        hi = _panel_sum(fn, pa, pb, hi_nodes, ncomp)
-        lo = _panel_sum(fn, pa, pb, lo_nodes, ncomp)
-        n_evals += len(hi_nodes) + len(lo_nodes)
-        err = max(abs(hi[i] - lo[i]) for i in range(ncomp))
+        (hi, hi_round), (lo, lo_round) = (panel_sum(fn, pa, pb, r, ncomp) for r in rules)
+        n_evals += len(rules[0]) + len(rules[1])
+        errs = [abs(hi[i] - lo[i]) + hi_round[i] + lo_round[i] for i in range(ncomp)]
+        err = max(errs)
         budget = abs_tol * (pb - pa) / width_full
-        if err <= budget:
+        # each component on its own: max would hide a nan
+        if all(e <= budget for e in errs):
             for i in range(ncomp):
                 total[i] += hi[i]
             err_total += err

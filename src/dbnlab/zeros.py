@@ -46,12 +46,19 @@ ask fn.twin first (see TransformFunction.twin).  It answers with a float
 value whose rounding bound lies 2^20 below it, so that its sign is the
 mpmath value's and f'/f moves far less than a winding count can notice,
 or with None (always for an AnalyticFunction), and a None point takes
-mpmath.  Newton polishing, the Kantorovich certificates, root bisection
-and every reported number stay mpmath.
+mpmath.  The edge integrals run in float64 whatever the point's route:
+numerics.integrate_adaptive on float ends, with complex z, f'/f dz and
+moments, each panel's rounding bound in its estimate, and |f| compared
+as log|f| (the transform's values leave the float range).  Their sums
+only feed decisions, a winding within WINDING_SLACK of an integer or
+power sums that seed Newton, and come back as mpc.  Newton polishing,
+the Kantorovich certificates, root bisection and every reported number
+stay mpmath.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -99,6 +106,7 @@ AXIS_MAX_POINTS = 16385
 _AXIS_CUT = 1000
 #: Newton steps a certified offender may take from its Taylor start
 _NEWTON_STEPS = 30
+_LN2 = math.log(2)
 
 
 @dataclass(frozen=True)
@@ -281,48 +289,68 @@ class _EvaluatorFailed(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _log_abs(v, shift=0):
+    """log|v 2^shift| as a float, -inf at v = 0, for a twin's float v or an
+    mpmath v, whose size may lie past the float range."""
+    if v == 0:
+        return -math.inf
+    if isinstance(v, (float, complex)):
+        return math.log(abs(v)) + shift * _LN2
+    m, e = mpmath.frexp(abs(v))
+    return math.log(m) + (e + shift) * _LN2
+
+
 def _edge_pass(fn, za, zb, abs_tol, stats, moments=None):
     """Integral of f'/f along the segment za -> zb; with moments = (c, rho,
-    k), also of w^j f'/f for j = 1..k, where w = (z - c)/rho."""
-    dz = zb - za
+    k), also of w^j f'/f for j = 1..k, where w = (z - c)/rho.
+
+    The integral runs in float64 (numerics.integrate_adaptive on float
+    ends): z, f'/f dz and the powers of w are complex, a twin value gives
+    f'/f directly, and a point without one takes mpmath at mpc(z), whose
+    f'/f joins as complex.  stats tracks the least |f| as log|f|, since the
+    transform's values can leave the float range.  The results are mpc."""
+    a = complex(za)
+    dz = complex(zb - za)
     n_moments = moments[2] if moments else 0
+    if n_moments:
+        c, inv_rho = complex(moments[0]), 1 / float(moments[1])
 
     def integrand(t):
-        z = za + t * dz
+        z = a + t * dz
         got = fn.twin(z, deriv=True)
         if got is None:
             try:
-                v, d = fn.value_and_derivative(z)
+                v, d = fn.value_and_derivative(mpc(z))
             except QuadratureError as e:
                 raise _EvaluatorFailed(e) from e
-            av = abs(v)
+            log_av = _log_abs(v)
         else:
             v, d, _, shift = got
-            av = mpmath.ldexp(abs(v), shift)
-        if av < stats["min"]:
-            stats["min"] = av
+            log_av = _log_abs(v, shift)
+        if log_av == -math.inf:
+            raise _ContourDip(mpc(z))
+        q = complex(d / v)
+        if log_av < stats["min"]:
+            stats["min"] = log_av
             stats["argmin"] = z
-        if av == 0:
-            raise _ContourDip(z)
-        out = [d / v * dz]
+        out = [q * dz]
         if n_moments:
-            c, rho, _ = moments
-            w = (z - c) / rho
+            w = (z - c) * inv_rho
             for _ in range(n_moments):
                 out.append(out[-1] * w)
         return out
 
     try:
         vals, err, n = numerics.integrate_adaptive(
-            integrand, mpf(0), mpf(1), abs_tol, ncomp=1 + n_moments
+            integrand, 0.0, 1.0, abs_tol, ncomp=1 + n_moments
         )
     except _EvaluatorFailed as e:
         raise e.error from None
     except QuadratureError:
         # a non-integrable spike on the edge means a zero sits on or
         # hugs the contour: hand control to the perturb-and-retry loop
-        raise _ContourDip(stats["argmin"])
-    return vals, err, n
+        raise _ContourDip(mpc(stats["argmin"]))
+    return [mpc(v) for v in vals], mpf(err), n
 
 
 def _path_pass(fn, path, perim, abs_tol, moments=None):
@@ -379,17 +407,17 @@ def _choose_split(fn, rect: Rectangle):
         mpf("0.65"),
     )
 
-    def line_min(points):
-        lo, hi = mpf("inf"), mpf(0)
-        for z in points:
-            got = fn.twin(z)
-            a = abs(fn(z)) if got is None else mpmath.ldexp(abs(got[0]), got[3])
-            lo = min(lo, a)
-            hi = max(hi, a)
-        return lo, hi
+    def log_abs(z):
+        # log|f(z)|, as _edge_pass compares it
+        got = fn.twin(z)
+        return _log_abs(fn(z)) if got is None else _log_abs(got[0], got[3])
+
+    # a line's score is log(min |f| / max |f|) over its samples; a line with
+    # f = 0 at every sample has none
+    threshold = math.log(1e-6)
 
     def pick(vertical: bool):
-        best, best_score = None, mpf(-1)
+        best, best_score = None, None
         for frac in fractions:
             if vertical:
                 x = rect.re_min + rect.width * frac
@@ -405,11 +433,14 @@ def _choose_split(fn, rect: Rectangle):
                     mpc(rect.re_min + rect.width * mpf(j) / 12, y)
                     for j in range(13)
                 ]
-            lo, hi = line_min(pts)
-            score = lo / hi if hi > 0 else mpf(-1)
-            if score > mpf("1e-6"):
+            logs = [log_abs(z) for z in pts]
+            lo, hi = min(logs), max(logs)
+            if hi == -math.inf:
+                continue
+            score = lo - hi
+            if score > threshold:
                 return rect.re_min + rect.width * frac if vertical else rect.im_min + rect.height * frac
-            if score > best_score:
+            if best_score is None or score > best_score:
                 best_score = score
                 best = frac
         if best is None:
@@ -524,7 +555,14 @@ def _polish(fn, z0, multiplicity, tol, rect: Rectangle):
     # and the caller subdivides or refuses.
     z, floor, last = mpc(z0), mpmath.sqrt(tol), mpf("inf")
     for _ in range(60):
-        v, d = fn.value_and_derivative(z)
+        try:
+            v, d = fn.value_and_derivative(z)
+        except ZeroDivisionError:
+            # a seed on an exact zero, where f' as f times a sum over the
+            # zeros divides by zero
+            if fn(z) == 0:
+                return z, mpf(0)
+            raise
         if v == 0:
             return z, mpf(0)
         if d == 0:

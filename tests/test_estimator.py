@@ -335,6 +335,8 @@ def plain_loop_lehmer(xs, k, radius):
             if abs(x - xk) > radius:
                 continue
             g += 1 / ((xk - x) ** 2) + 1 / ((xk1 - x) ** 2)
+    if g == 0:
+        raise DomainError("no term within the radius")
     bracket = 1 - mpf(5) / 4 * gap * gap * g
     if bracket < 0:
         raise DomainError("negative bracket")
@@ -344,7 +346,7 @@ def plain_loop_lehmer(xs, k, radius):
 def _outcome(compute):
     try:
         return compute()
-    except (DomainError, ZeroDivisionError) as e:  # no term within the radius: g = 0
+    except DomainError as e:  # a negative bracket, or no term within the radius
         return type(e)
 
 
@@ -450,6 +452,14 @@ class TestLehmerLowerBound:
             for radius in ("3", "9.5"):
                 on, inside = (plain_loop_lehmer(dyadic, 6, mpf(radius) - d)[0] for d in (0, 1e-3))
                 assert on > inside
+
+    def test_no_term_within_the_radius_is_a_domain_error(self):
+        # g_k = 0 would divide the bound by zero
+        ctx = ctx30()
+        with ctx.workdps(0):
+            t = est.ZeroTable((mpf("0.75"), mpf(1), mpf("2.5"), mpf(4)))
+        with pytest.raises(DomainError, match=r"k=1: .* radius 0\.25"):
+            est.lehmer_lower_bound(t, 1, "0.25", ctx)
 
     def test_out_of_range_k(self):
         ctx = ctx30()

@@ -9,6 +9,9 @@ and a 200-digit run of the alternating-series route for the one anchor that
 sits exactly on an eta cancellation point.
 """
 
+import cmath
+import math
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +30,8 @@ from dbnlab import (
     integrate_adaptive,
     named_density,
 )
-from dbnlab.numerics import eval_H_density_parts
+from dbnlab.measures import partial_gaussian_mass
+from dbnlab.numerics import _gl_nodes, _gl_nodes_float, eval_H_density_parts
 
 CTX = PrecisionContext()
 
@@ -276,6 +280,92 @@ class TestQuadrature:
                     mpf("1e-25"),
                     max_depth=8,
                 )
+
+
+class TestFloatQuadrature:
+    """integrate_adaptive on Python float ends sums in float64, with each
+    rule's rounding bound in its panel's estimate."""
+
+    @pytest.mark.parametrize(
+        "fn, b, want",
+        [
+            (lambda t: (math.cos(7 * t),), 10 * math.pi, lambda: mpmath.sin(70 * mp.pi) / 7),
+            (
+                lambda t: (math.exp(-t * t),),
+                8.0,
+                lambda: mpmath.sqrt(mp.pi) / 2 * mpmath.erf(8),
+            ),
+            (lambda t: (cmath.exp(3j * t),), 1.0, lambda: (mpmath.expj(3) - 1) / mpc(0, 3)),
+            (lambda t: (1 / (1 + t), t**5), 2.0, lambda: (mpmath.log(3), mpf(64) / 6)),
+        ],
+    )
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_closed_forms_within_the_estimate(self, fn, b, want, tol):
+        with mp.workdps(30):
+            want = want()
+            want = want if isinstance(want, tuple) else (want,)
+            vals, err, n = integrate_adaptive(fn, 0.0, b, tol, ncomp=len(want))
+            assert isinstance(err, float) and err <= tol and n > 0
+            for v, w in zip(vals, want):
+                assert isinstance(v, complex)
+                assert abs(mpc(v) - w) <= err
+
+    def test_a_tolerance_below_float_resolution_raises(self):
+        # the mpmath route meets 1e-20 on mpf ends; the float route's
+        # rounding bounds alone exceed it on every panel
+        with mp.workdps(30):
+            vals, _, _ = integrate_adaptive(lambda t: (mpmath.cos(t),), mpf(0), mpf(1), mpf("1e-20"))
+            assert abs(vals[0] - mpmath.sin(1)) < mpf("1e-20")
+        with pytest.raises(QuadratureError):
+            integrate_adaptive(lambda t: (math.cos(t),), 0.0, 1.0, 1e-20)
+
+    def test_a_nan_in_one_component_is_not_accepted(self):
+        with pytest.raises(QuadratureError):
+            integrate_adaptive(
+                lambda t: (1.0, math.nan), 0.0, 1.0, 1e-3, ncomp=2, max_depth=3
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 24, 40])
+    def test_float_rules_are_rounded_mpmath_rules(self, n):
+        exact = _gl_nodes(n, 120)
+        for (x, w), (ex, ew) in zip(_gl_nodes_float(n), exact):
+            assert abs(x - float(ex)) <= math.ulp(float(ex))
+            assert abs(w - float(ew)) <= math.ulp(float(ew))
+
+    def test_the_mpf_route_is_unchanged(self):
+        # frozen from the mpf route before float ends joined it: every
+        # value, estimate and count of eval_H_density_parts and
+        # partial_gaussian_mass to the last bit
+        with CTX.workdps():
+            z, lam = mpc("0.3", "0.2"), mpf("-0.1")
+        parts = eval_H_density_parts(
+            PHI_DENSITY, lam, z, CTX, parts=("value", "deriv", "moment2")
+        )
+        frozen = {
+            "value": (
+                (12708177572962019264920166955078624276910981218618882062928997, -204),
+                (8946708543667208611953100478248452899079848480409782976783349, -212),
+            ),
+            "deriv": (
+                (5601227876896418380412459497411058459513547547023760560017271, -209),
+                (7426935464775082312477025100606400224586653947584735303225953, -210),
+            ),
+            "moment2": (
+                (9299465178851362817649446097464886556694971949978560033268279, -208),
+                (2289633836789267018438386051994819512161669106262178664913653, -213),
+            ),
+        }
+        for part, (re, im) in frozen.items():
+            te = parts[part]
+            assert (te.value.real.man_exp, te.value.imag.man_exp) == (re, im)
+            assert te.abs_error_estimate.man_exp == (
+                822845541101415374633864600989071051747284127334098160484909,
+                -304,
+            )
+            assert te.n_evals == 1044
+        with CTX.workdps():
+            mass = partial_gaussian_mass(GAUSS, mpf("0.5"), mpf(3), CTX)
+        assert mass.man_exp == (1004280392166376146716972985834101373011273450426203259897327, -198)
 
 
 class TestPrecisionContext:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from dbnlab import measures, zeros
+from dbnlab.numerics import integrate_adaptive
 from dbnlab.measures import (
     convolve_gaussian,
     named_density,
@@ -29,6 +30,7 @@ from dbnlab.precision import (
     WindingError,
 )
 from dbnlab.zeros import (
+    MAX_POWER_SUMS,
     Rectangle,
     ZeroSet,
     _axis_count,
@@ -1004,3 +1006,118 @@ def test_a_far_nonreal_pair_gets_a_certified_offender():
         z = v.worst_offender
         assert abs(abs(z.imag) - y) + abs(z.real - mp.pi / t) <= v.offender_radius
         assert v.margin == abs(z.imag)
+
+
+# ---------------------------------------------------------------------------
+# float64 contour quadrature
+# ---------------------------------------------------------------------------
+
+
+def test_a_single_zero_at_the_box_centre_is_located():
+    # the float power sums of a zero at the centre cancel exactly, so its
+    # seed lands on the zero, where the test polynomial's f' = f sum m/(z - r)
+    # divides 0 by 0
+    ctx = ctx30()
+    fn = _polynomial([(mpc(0), 1)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros, "_choose_split", _refuse_to_split)
+        zs = locate_zeros(fn, Rectangle.make(-2, 2, -2, 2), ctx)
+    assert zs.count == 1 and len(zs.zeros) == 1
+    assert zs.zeros[0].location == 0 and zs.zeros[0].multiplicity == 1
+    with ctx.workdps(5):
+        rect = Rectangle.make(-1, 1, -1, 1)
+        assert _polish(fn, mpc(0), 1, mpf("1e-20"), rect) == (mpc(0), 0)
+        # a division by zero away from a zero is no zero: it propagates
+        broken = as_analytic(lambda z: z - 1, lambda z: 1 / (z - z))
+        with pytest.raises(ZeroDivisionError):
+            _polish(broken, mpc(0), 1, mpf("1e-20"), rect)
+
+
+def _mpmath_contour_pass(fn, rect, abs_tol, n_moments):
+    """_contour_pass's winding and power sums from integrate_adaptive on mpf
+    ends over the same edges, with the same shares of abs_tol: the mpmath
+    route that the float one replaced."""
+    corners = rect.corners()
+    c, rho = rect.center(), mpmath.hypot(rect.width, rect.height) / 2
+    perim = 2 * (rect.width + rect.height)
+    totals = [mpc(0)] * (1 + n_moments)
+    for za, zb in zip(corners, corners[1:] + corners[:1]):
+        dz = zb - za
+
+        def integrand(t):
+            z = za + t * dz
+            v, d = fn.value_and_derivative(z)
+            out = [d / v * dz]
+            for _ in range(n_moments):
+                out.append(out[-1] * (z - c) / rho)
+            return out
+
+        vals, _, _ = integrate_adaptive(
+            integrand, mpf(0), mpf(1), abs_tol * abs(dz) / perim, ncomp=1 + n_moments
+        )
+        totals = [s + v for s, v in zip(totals, vals)]
+    return [s / (2 * mp.pi * mpc(0, 1)) for s in totals]
+
+
+POINT = st.tuples(st.floats(-1.9, 1.9), st.floats(-1.9, 1.9))
+
+
+@settings(max_examples=15, deadline=None)
+@given(points=st.lists(POINT, min_size=1, max_size=8))
+def test_property_float_contour_pass_matches_the_mpmath_route(points):
+    """Windings and power sums of polynomials, which have no twin, agree
+    with the mpmath route to 1e-10."""
+    ctx = ctx30()
+    with ctx.workdps(5):
+        fn = _polynomial([(mpc(x, y), 1) for x, y in points])
+        rect = Rectangle.make(-2, 2, -2, 2)
+        tol = mpf("1e-11")
+        got, err = zeros._contour_pass(fn, rect, tol, n_moments=MAX_POWER_SUMS)
+        want = _mpmath_contour_pass(fn, rect, tol, MAX_POWER_SUMS)
+        assert abs(got[0] - len(points)) < mpf("1e-10")
+        assert err <= tol
+        for a, b in zip(got, want):
+            assert abs(a - b) < mpf("1e-10")
+
+
+def _count_evaluations(monkeypatch):
+    """Count twin values, and mpmath evaluations (top-level eval_H_parts
+    calls), from here on."""
+    counts, twin, evaluate = {"twin": 0, "mpmath": 0}, measures.TransformFunction.twin, measures.eval_H_parts
+    depth = [0]
+
+    def counted_twin(self, z, deriv=False):
+        got = twin(self, z, deriv)
+        counts["twin"] += got is not None
+        return got
+
+    def counted_eval(*args, **kwargs):
+        counts["mpmath"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(measures.TransformFunction, "twin", counted_twin)
+    monkeypatch.setattr(measures, "eval_H_parts", counted_eval)
+    return counts
+
+
+def test_evaluation_counts_of_two_offender_verdicts(monkeypatch):
+    # counts repeat exactly: a change to panel acceptance, the twin's reach
+    # or the routes' order shows here.  Each verdict takes the half or
+    # quarter path, the axis scan, the certificates and the location of its
+    # nonreal zeros: the quadruple +-pi +- 0.64i of the two-atom transform,
+    # and Case 8's pair at pi +- 0.99i
+    ctx = ctx_light()
+    with ctx.workdps():
+        case8 = named_density("Case8", ctx)
+    counts = _count_evaluations(monkeypatch)
+    v = verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-4, 4, -1, 1), ctx)
+    assert v.all_real is False
+    assert counts == {"twin": 1289, "mpmath": 46}
+    counts.update(twin=0, mpmath=0)
+    v = verify_all_real(case8, mpf("-0.25"), Rectangle.make("1.5", "4.8", -2, 2), ctx)
+    assert v.all_real is False and abs(v.worst_offender.real - mp.pi) < mpf("1e-8")
+    assert counts == {"twin": 1217, "mpmath": 82}
