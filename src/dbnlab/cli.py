@@ -140,10 +140,11 @@ class _Emitter:
 
 
 def _parse_mpf(text, what: str) -> mpf:
-    try:
-        return mpf(str(text))
-    except Exception:
-        raise SchemaError("%s: cannot parse %r as a number" % (what, text))
+    """A flag's number; no flag takes nan or an infinity."""
+    x = _expect_number(text, what)
+    if not mpmath.isfinite(x):
+        raise SchemaError("%s: expected a finite number, got %r" % (what, text))
+    return x
 
 
 def _parse_complex(text, what: str) -> mpc:
@@ -179,9 +180,14 @@ def _expect_object(node, path: str) -> dict:
 
 
 def _expect_number(node, path: str) -> mpf:
+    """A number from a file or a flag; a file's nan or infinity is left to
+    the constraint of what it builds."""
     if isinstance(node, bool) or not isinstance(node, (int, float, str)):
         raise SchemaError("%s: expected a number" % path)
-    return _parse_mpf(node, path)
+    try:
+        return mpf(str(node))
+    except Exception:
+        raise SchemaError("%s: cannot parse %r as a number" % (path, node))
 
 
 def _reject_unknown(node: dict, allowed, path: str):

@@ -10,7 +10,8 @@ whose roots do not polish to distinct zeros inside it, is quadrisected.
 The public surface:
 
   count_zeros        winding count over a rectangle, integer-certified
-  locate_zeros       full ZeroSet for a rectangle (count + located roots)
+  locate_zeros       full ZeroSet for a rectangle: the count and the roots
+                     from one sweep of its contour
   locate_real_zeros  sign-change scan plus double-zero confirmation on an
                      interval of the real axis
   verify_all_real    RealityVerdict for a measure over a symmetric window
@@ -26,7 +27,9 @@ a -> a+ib -> ib, whose count the two symmetries make even, and twice the
 sign changes on [0, a].  The scan stops on the first grid where count and
 bound meet.  Where they do not, a Newton-Kantorovich certificate at the
 deepest |H| minimum either proves a nonreal zero, which makes the verdict
-"not all real", or proves a close real pair that the grid missed.  A
+"not all real", or proves a close real pair that the grid missed.  A scan
+that settles short with neither locates the window's zeros once; none more
+than _AXIS_CUT tol off the axis makes the verdict "all real".  A
 transform not real on the axis takes the full contour and a thin-strip
 count about the axis.
 
@@ -117,8 +120,9 @@ class Rectangle:
     im_max: mpf
 
     def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValueError("rectangle needs re_min < re_max and im_min < im_max")
+        finite = all(map(mpmath.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max)))
+        if not (finite and self.re_min < self.re_max and self.im_min < self.im_max):
+            raise ValueError("rectangle needs finite bounds, re_min < re_max and im_min < im_max")
 
     @classmethod
     def make(cls, re_min, re_max, im_min, im_max):
@@ -208,11 +212,11 @@ class RealityVerdict:
 
     window: the rectangle the verdict holds for (the requested one, or that
         one grown where a zero hugged its contour).
-    all_real: whether every zero of H in window is real.
-    worst_offender: when not all_real, a nonreal zero closest to the axis
-        among those located, or the certified offender below; None when
-        all_real, and when the count fell short with location turned off
-        and no certificate held.
+    all_real: whether every zero of H in window is real; a located zero
+        within _AXIS_CUT tol of the axis counts as real.
+    worst_offender: when not all_real, the located nonreal zero closest to
+        the axis with location on, and with it off the certified offender
+        below, or None when no certificate held; None when all_real.
     margin: when all_real, the half-height of window (the zero-free strip
         it certifies on either side of the axis); otherwise |Im| of
         worst_offender, or None without one.
@@ -686,18 +690,20 @@ def _power_sum_zeros(fn, rect: Rectangle, sums, n, loc_tol):
     ]
 
 
-def _locate_recursive(fn, rect: Rectangle, depth: int, loc_tol, out: list):
+def _locate_recursive(fn, rect: Rectangle, depth: int, loc_tol, out: list) -> int:
+    """Add the zeros of fn in rect to out; return rect's winding count, or
+    the sum of its quarters' counts when that misses an integer."""
     sums, _ = _contour_pass(fn, rect, _moment_tol(rect), n_moments=MAX_POWER_SUMS)
     n, residual = _integer_winding(sums[0])
     if residual > WINDING_SLACK:
         n = None  # force subdivision
     if n == 0:
-        return
+        return 0
     if n is not None and 0 < n <= MAX_POWER_SUMS:
         found = _power_sum_zeros(fn, rect, sums, n, loc_tol)
         if found is not None:
             out += found
-            return
+            return n
 
     if depth >= MAX_LOCATE_DEPTH:
         raise WindingError(
@@ -705,24 +711,25 @@ def _locate_recursive(fn, rect: Rectangle, depth: int, loc_tol, out: list):
             % (rect, depth)
         )
     xc, yc = _choose_split(fn, rect)
-    for sub in _subrects(rect, xc, yc):
-        _locate_recursive(fn, sub, depth + 1, loc_tol, out)
+    quarters = sum(
+        _locate_recursive(fn, sub, depth + 1, loc_tol, out) for sub in _subrects(rect, xc, yc)
+    )
+    return quarters if n is None else n
 
 
 def _locate_counted(fn, rect: Rectangle, count, ctx: PrecisionContext) -> ZeroSet:
     """ZeroSet of fn in rect, given count, the certified number of its zeros
-    there; the located multiplicities must add up to count."""
+    there, or None for the count of the location's own sweep (see
+    _locate_recursive); the located multiplicities must add up to count."""
     with ctx.workdps(5):
         loc_tol = mpf(10) ** (-min(ctx.tol_digits, 25))
 
         def locate(r):
             out: list = []
-            _locate_recursive(fn, r, 0, loc_tol, out)
-            return out
+            return _locate_recursive(fn, r, 0, loc_tol, out), out
 
-        zeros: list = []
-        if count:
-            zeros, rect = _retry_on_dip(locate, rect, _nudge)
+        (swept, zeros), rect = _retry_on_dip(locate, rect, _nudge)
+        count = swept if count is None else count
         total = sum(z.multiplicity for z in zeros)
         if total != count:
             raise WindingError(
@@ -735,13 +742,11 @@ def _locate_counted(fn, rect: Rectangle, count, ctx: PrecisionContext) -> ZeroSe
 def locate_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> ZeroSet:
     """Count and locate all zeros of f in rect (multiplicity-aware).
 
-    The winding count over rect is taken first, on its own pass, and the
-    located multiplicities are checked against it.
+    One sweep of rect's contour gives both the winding count and the power
+    sums that locate its zeros; the located multiplicities are checked
+    against that count.
     """
-    ctx = ctx or PrecisionContext()
-    fn = as_analytic(f)
-    count, used = _count_with_rect(fn, rect, ctx)
-    return _locate_counted(fn, used, count, ctx)
+    return _locate_counted(as_analytic(f), rect, None, ctx or PrecisionContext())
 
 
 # ---------------------------------------------------------------------------
@@ -835,75 +840,6 @@ def _double_zero_candidates(grid):
     return [i for i in _quiet_minima(grid) if abs(vals[i]) < gate]
 
 
-def _zeros_on_grid(fn, grid, tol, ctx):
-    """Real zeros with multiplicity from the last grid of a scan.
-
-    Exact zeros at grid points, sign-change cells bisected to tol, and |f|
-    minima without a sign change confirmed as double zeros by a winding
-    count; see locate_real_zeros.
-    """
-    xs, vals, _, crossings, cell = grid
-
-    def fx(x):
-        return mpmath.re(fn(mpc(x, 0)))
-
-    found: list = []
-
-    # exact-zero grid points
-    for i, v in enumerate(vals):
-        if v == 0:
-            found.append(LocatedZero(mpc(xs[i], 0), 1, mpf(0)))
-
-    # sign-change cells -> bisection
-    for i in crossings:
-        lo, hi = xs[i], xs[i + 1]
-        flo = vals[i]
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            fm = fx(mid)
-            if fm == 0:
-                lo = hi = mid
-                break
-            if mpmath.sign(fm) == mpmath.sign(flo):
-                lo = mid
-                flo = fm
-            else:
-                hi = mid
-        root = (lo + hi) / 2
-        found.append(LocatedZero(mpc(root, 0), 1, abs(fx(root))))
-
-    # |f| minima without sign change -> possible double zeros, confirmed by
-    # locating the zeros about them (skipped when one is pinned to the
-    # contour).  The confirmation rectangle is square so its contour stays a
-    # cell away from the candidate, and classification runs on the located
-    # points, not on the box height.
-    axis_accept = max(mpf("1e3") * tol, mpf(10) ** (4 - mp.dps))
-    for i in _double_zero_candidates(grid):
-        try:
-            zs = locate_zeros(fn, Rectangle(xs[i] - cell, xs[i] + cell, -cell, cell), ctx)
-        except ContourError:
-            continue
-        found += [z for z in zs.zeros if abs(mpmath.im(z.location)) <= axis_accept]
-
-    found.sort(key=lambda z: mpmath.re(z.location))
-    # de-duplicate anything the scan found twice
-    unique: list = []
-    for z in found:
-        if unique and abs(z.location - unique[-1].location) < mpf(4) * max(tol, mpf(10) ** (-mp.dps + 4)):
-            continue
-        unique.append(z)
-    # flag unresolved near-coincident pairs as clusters
-    out: list = []
-    for idx, z in enumerate(unique):
-        near = False
-        if idx > 0 and abs(z.location - unique[idx - 1].location) < 4 * cell:
-            near = True
-        if idx + 1 < len(unique) and abs(unique[idx + 1].location - z.location) < 4 * cell:
-            near = True
-        out.append(replace(z, cluster=z.cluster or near) if near else z)
-    return out
-
-
 def locate_real_zeros(f, interval, ctx: PrecisionContext = None, refine_tol=None):
     """Real zeros of f on [a, b], with multiplicity, via sign-change scan.
 
@@ -911,7 +847,7 @@ def locate_real_zeros(f, interval, ctx: PrecisionContext = None, refine_tol=None
     three consecutive agreeing counts are required, and a count still moving
     at AXIS_MAX_POINTS points is a ResolutionError.  Double zeros leave no
     sign change; they are picked up as deep local minima of |f| and
-    confirmed by a winding count over a thin rectangle around the
+    confirmed by locating the zeros in a square of one grid cell about the
     candidate.  A minimum whose nearby zeros turn out to be a genuinely
     nonreal conjugate pair is excluded (those belong to verify_all_real,
     not to the real-axis list).  Two simple zeros closer than the scan can
@@ -929,7 +865,66 @@ def locate_real_zeros(f, interval, ctx: PrecisionContext = None, refine_tol=None
         tol = max(tol, mpf(10) ** (3 - mp.dps))
         for grid in _golden_scan(fn, a, b, AXIS_POINTS, AXIS_MAX_POINTS):
             pass
-        return _zeros_on_grid(fn, grid, tol, ctx)
+        xs, vals, _, crossings, cell = grid
+
+        def fx(x):
+            return mpmath.re(fn(mpc(x, 0)))
+
+        found: list = []
+
+        # exact-zero grid points
+        for i, v in enumerate(vals):
+            if v == 0:
+                found.append(LocatedZero(mpc(xs[i], 0), 1, mpf(0)))
+
+        # sign-change cells -> bisection
+        for i in crossings:
+            lo, hi = xs[i], xs[i + 1]
+            flo = vals[i]
+            while hi - lo > tol:
+                mid = (lo + hi) / 2
+                fm = fx(mid)
+                if fm == 0:
+                    lo = hi = mid
+                    break
+                if mpmath.sign(fm) == mpmath.sign(flo):
+                    lo = mid
+                    flo = fm
+                else:
+                    hi = mid
+            root = (lo + hi) / 2
+            found.append(LocatedZero(mpc(root, 0), 1, abs(fx(root))))
+
+        # |f| minima without sign change -> possible double zeros, confirmed by
+        # locating the zeros about them (skipped when one is pinned to the
+        # contour).  The confirmation rectangle is square so its contour stays a
+        # cell away from the candidate, and classification runs on the located
+        # points, not on the box height.
+        axis_accept = max(mpf("1e3") * tol, mpf(10) ** (4 - mp.dps))
+        for i in _double_zero_candidates(grid):
+            try:
+                zs = locate_zeros(fn, Rectangle(xs[i] - cell, xs[i] + cell, -cell, cell), ctx)
+            except ContourError:
+                continue
+            found += [z for z in zs.zeros if abs(mpmath.im(z.location)) <= axis_accept]
+
+        found.sort(key=lambda z: mpmath.re(z.location))
+        # de-duplicate anything the scan found twice
+        unique: list = []
+        for z in found:
+            if unique and abs(z.location - unique[-1].location) < mpf(4) * max(tol, mpf(10) ** (-mp.dps + 4)):
+                continue
+            unique.append(z)
+        # flag unresolved near-coincident pairs as clusters
+        out: list = []
+        for idx, z in enumerate(unique):
+            near = False
+            if idx > 0 and abs(z.location - unique[idx - 1].location) < 4 * cell:
+                near = True
+            if idx + 1 < len(unique) and abs(unique[idx + 1].location - z.location) < 4 * cell:
+                near = True
+            out.append(replace(z, cluster=z.cluster or near) if near else z)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +942,7 @@ def verify_all_real(
     """Certify (window-relative) that every zero of H in window is real.
 
     A count of all zeros in the window is compared against the real-axis
-    count with multiplicity, each to the tolerance 10^-min(tol_digits, 20).
+    count with multiplicity, each to tol = 10^-min(tol_digits, 20).
 
     When H is real on the axis (so even), its zeros come in conjugate
     pairs.  The count is then the winding along the upper half of the
@@ -963,10 +958,11 @@ def verify_all_real(
     change, and Kantorovich's test on its limit (see _certify_minimum)
     either certifies a nonreal zero, which ends the verdict as "not all
     real", or certifies a real pair, which raises the bound.  A bound above
-    the count is a WindingError.  If the refinement settles short, the
-    double-zero checks of locate_real_zeros run on the scanned interval;
-    if it reaches its point budget unsettled, the verdict is refused with
-    a ResolutionError.
+    the count is a WindingError.  If the refinement settles short (a
+    double zero leaves no sign change), the window's zeros are located once
+    against the count, and the verdict is "all real" when none lies more
+    than _AXIS_CUT * tol off the axis; if it reaches its point budget
+    unsettled, the verdict is refused with a ResolutionError.
     A dip on the path grows the window about its centre, keeping its
     symmetry; a path count that misses an integer falls back to the
     winding over the whole window, which may nudge it off the axis, and
@@ -974,15 +970,14 @@ def verify_all_real(
 
     A transform not real-valued on the axis compares the winding over the
     whole window with a thin-strip winding about the axis.  A real count
-    above the winding count is a WindingError here too.
+    above the winding count is a WindingError here too, and so is one
+    below it whose location finds no nonreal zero.
 
-    On mismatch the window's zeros are located against the certified
-    count; the verdict carries the nonreal one closest to the axis (see
-    _worst_offender) and the margin (certified strip half-width when all
-    real, closest offender distance otherwise).
-    With locate_offenders=False there is no location: a certified nonreal
-    zero is returned as the offender with its radius, and otherwise the
-    verdict carries no offender.
+    With locate_offenders, a "not all real" verdict carries the located
+    nonreal zero closest to the axis (see _worst_offender), the window being
+    located against its count if it was not already; without it, only a
+    certified offender, with its radius.  The margin is the certified strip
+    half-width when all real, and the offender's |Im| otherwise.
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps(5):
@@ -998,27 +993,24 @@ def verify_all_real(
             )
             if total is None:
                 total, used = _count_with_rect(fn, used, ctx)
-            real_count = _axis_count(fn, used, total, tol, ctx)
+            real_count = _axis_count(fn, used, total, tol)
             if isinstance(real_count, _Offender):
                 offender, real_count = real_count, None
         else:
             total, used = _count_with_rect(fn, window, ctx)
             strip = max(mpf("1e-6") * used.height, 1000 * tol)
             real_count = count_zeros(fn, Rectangle(used.re_min, used.re_max, -strip, strip), ctx)
-        if real_count is not None and real_count > total:
-            raise WindingError(
-                "%d real zeros exceed the winding count %d" % (real_count, total)
-            )
+            if real_count > total:
+                raise WindingError(
+                    "%d real zeros exceed the winding count %d" % (real_count, total)
+                )
 
+        all_real = RealityVerdict(window=used, all_real=True, margin=used.im_max)
         if real_count == total:
-            return RealityVerdict(
-                window=used,
-                all_real=True,
-                worst_offender=None,
-                margin=used.im_max,
-            )
-
-        if not locate_offenders:
+            return all_real
+        # the scan settled short of the count with no certificate either way
+        short = offender is None and fn.real_on_axis()
+        if not (locate_offenders or short):
             if offender is None:
                 return RealityVerdict(window=used, all_real=False)
             z, r = offender
@@ -1027,18 +1019,22 @@ def verify_all_real(
                 margin=abs(mpmath.im(z)), offender_radius=r,
             )
 
-        # mismatch: hunt the nonreal ones down for the report; the count
-        # above is certified, so location does not count the window again
+        # the count above is certified, so location does not count the
+        # window again
         zs = _locate_counted(fn, used, total, ctx)
         axis_cut = _AXIS_CUT * tol
         offenders = [
             z.location for z in zs.zeros if abs(mpmath.im(z.location)) > axis_cut
         ]
         if not offenders:
+            if short:
+                return all_real
             raise WindingError(
                 "window count %d vs real count %s, but no nonreal zero could "
                 "be isolated" % (total, real_count)
             )
+        if not locate_offenders:
+            return RealityVerdict(window=used, all_real=False)
         _check_quadruple_symmetry(fn, offenders)
         worst = _worst_offender(offenders, tol)
         return RealityVerdict(
@@ -1066,9 +1062,10 @@ class _Offender(NamedTuple):
     radius: mpf
 
 
-def _axis_count(fn, window: Rectangle, total, tol, ctx):
-    """Real zeros of an even H in window, given the total zeros in it; or an
-    _Offender that proves they are not all real.
+def _axis_count(fn, window: Rectangle, total, tol):
+    """A certified lower bound on the real zeros of an even H in window,
+    given the total zeros in it; or an _Offender that proves they are not
+    all real.
 
     The scan covers [re_min, re_max], or [0, a] when window is centred at
     the origin.  There every real zero on (0, a) has its mirror on (-a, 0),
@@ -1077,7 +1074,7 @@ def _axis_count(fn, window: Rectangle, total, tol, ctx):
     each zero found counts twice.  A grid that leaves the certified lower
     bound short of total first tries _certify_minimum, which either ends
     the scan with an offender or may add a certified real pair to the
-    bound.
+    bound.  A scan that settles short returns its last grid's bound.
     """
     if window.centered_at_origin():
         lo, mirrors, points = mpf(0), 2, ((AXIS_POINTS + 1) // 2, (AXIS_MAX_POINTS + 1) // 2)
@@ -1098,9 +1095,8 @@ def _axis_count(fn, window: Rectangle, total, tol, ctx):
                 "%d certified real zeros exceed the winding count %d" % (certain, total)
             )
         if certain == total:
-            return total
-    reals = _zeros_on_grid(fn, grid, max(tol, mpf(10) ** (3 - mp.dps)), ctx)
-    return mirrors * sum(z.multiplicity for z in reals if abs(mpmath.im(z.location)) <= 100 * tol)
+            break
+    return certain
 
 
 def _certify_minimum(fn, grid, window: Rectangle, tol):

@@ -544,6 +544,40 @@ class TestOutputContract:
         assert code == 2
         assert "$.atoms[0][1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--lambda", ["eval", "--measure", "{m}", "--lambda", "nan", "--z", "1"]),
+            ("--lambda", ["eval", "--measure", "{m}", "--lambda", "inf", "--z", "1"]),
+            ("--z", ["eval", "--measure", "{m}", "--lambda", "0", "--z", "nan"]),
+            ("--h", ["heat-residual", "--measure", "{m}", "--lambda", "0", "--z", "1", "--h", "nan"]),
+            ("--h", ["heat-residual", "--measure", "{m}", "--lambda", "0", "--z", "1", "--h", "inf"]),
+            ("--radius", [
+                "lehmer", "--zeros-file", "tests/data/xi_zeros_100.txt",
+                "--k-from", "33", "--k-to", "34", "--radius", "nan",
+            ]),
+            ("--rect", ["zeros", "--measure", "{m}", "--lambda", "0", "--rect=-inf,inf,-1,1"]),
+            ("--lambda", ["zeros", "--measure", "{m}", "--lambda", "nan", "--rect=-2,2,-1,1"]),
+            ("--hi", [
+                "bisect", "--measure", "{m}", "--lo", "0", "--hi", "inf", "--tol", "1e-6",
+                "--rect=-8,8,-2,2",
+            ]),
+            ("--lmax", [
+                "scan", "--measure", "{m}", "--lmin", "0", "--lmax", "inf", "--steps", "3",
+                "--rect=-8,8,-2,2",
+            ]),
+            ("--z", ["xi", "--z", "nan"]),
+        ],
+    )
+    def test_non_finite_flags_exit_two(self, flag, argv, two_atom_file, capsys):
+        # no flag takes nan or an infinity: each is refused as it is parsed,
+        # not printed as a value and not left to fail further in
+        code, out = run_cli(*[a.replace("{m}", two_atom_file) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: %s: expected a finite number" % flag)
+        assert "Traceback" not in err and records(out, "meta") == records(out)
+
     def test_missing_file_exits_two(self):
         assert run_cli("eval", "--measure", "/nope.json", "--lambda", "0", "--z", "1")[0] == 2
 

@@ -70,6 +70,14 @@ def two_atom_cosine():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "bounds", [("-inf", 1, -1, 1), (0, "inf", -1, 1), (0, 1, "nan", 1), (0, 1, -1, "+inf")]
+)
+def test_rectangle_refuses_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        Rectangle.make(*bounds)
+
+
 class TestCountZeros:
     def test_cosine_rectangle(self):
         ctx = ctx30()
@@ -386,8 +394,8 @@ class TestVerifyAllReal:
         window = Rectangle.make(-10, 10, -1, 1)
         with ctx.workdps(5):
             with pytest.raises(WindingError):
-                _axis_count(cosine_fn(), window, 2, mpf("1e-20"), ctx)
-            assert _axis_count(cosine_fn(), window, 6, mpf("1e-20"), ctx) == 6
+                _axis_count(cosine_fn(), window, 2, mpf("1e-20"))
+            assert _axis_count(cosine_fn(), window, 6, mpf("1e-20")) == 6
 
     def test_full_route_refuses_more_real_zeros_than_the_count(self, monkeypatch):
         # the window is not centred, so the half path counts; a count of 0
@@ -458,12 +466,41 @@ class TestVerifyAllReal:
             assert v.all_real is True and v.offender_radius is None
         assert hunts == []
 
+    @pytest.mark.parametrize("re_max, im_max, count", [(8, 2, 4), (12, 1, 8)])
+    def test_double_zeros_at_the_threshold_are_real(self, monkeypatch, re_max, im_max, count):
+        # at exactly log 2 the zeros of 2/3 + (2/3) cos z, with the weights
+        # at working precision, are double zeros at the odd multiples of pi:
+        # no sign change certifies them, the scan settles short of the
+        # count, and one location of the window finds them on the axis,
+        # with location on or off
+        located, locate = [], zeros._locate_counted
+
+        def recorded(fn, rect, n, ctx):
+            located.append((rect, n))
+            return locate(fn, rect, n, ctx)
+
+        def refused(*args, **kwargs):
+            pytest.fail("a verdict locates only through _locate_counted")
+
+        monkeypatch.setattr(zeros, "_locate_counted", recorded)
+        monkeypatch.setattr(zeros, "locate_zeros", refused)
+        monkeypatch.setattr(zeros, "locate_real_zeros", refused)
+        ctx = ctx_light()
+        with ctx.workdps():
+            measure = symmetric_atoms([(0, mpf(2) / 3), (1, mpf(1) / 3)], ctx)
+            lam = mpmath.log(2)
+        window = Rectangle.make(-re_max, re_max, -im_max, im_max)
+        for locate_offenders in (False, True):
+            v = verify_all_real(measure, lam, window, ctx, locate_offenders=locate_offenders)
+            assert v.all_real is True and v.worst_offender is None and v.margin == im_max
+        assert located == [(window, count)] * 2
+
     def test_a_certificate_disk_outside_the_window_falls_through(self, monkeypatch):
         # an error estimate of 5e-3 on every value widens the certified disk
         # about the offender pi + 0.6417i of 2/3 + (e^0.5/3) cos z to more
-        # than the 0.018 between it and the top edge at 0.66; the verdict
-        # then takes the scan and double-zero route, which finds no real
-        # zero and so no certificate
+        # than the 0.018 between it and the top edge at 0.66; the scan then
+        # settles short of the count with no certificate, and the location
+        # of the window finds the pair off the axis
         blurred = measures.TransformFunction.parts
 
         def parts(self, z, which):
@@ -910,6 +947,25 @@ def test_the_reported_offender_does_not_depend_on_location_order(monkeypatch, re
     assert forward.worst_offender.imag < 0
 
 
+def test_locate_zeros_sweeps_its_top_rectangle_once(monkeypatch):
+    # the count of locate_zeros is the winding of the sweep that also gives
+    # the power sums, not a pass of its own
+    swept, sweep = [], zeros._contour_pass
+
+    def recorded(fn, rect, *args, **kwargs):
+        swept.append(rect)
+        return sweep(fn, rect, *args, **kwargs)
+
+    monkeypatch.setattr(zeros, "_contour_pass", recorded)
+    ctx = ctx_light()
+    window = Rectangle.make(-8, 8, -2, 2)
+    with ctx.workdps():
+        fn = transform_function(two_atom_cosine(), mpf("0.5"), ctx)
+    zs = locate_zeros(fn, window, ctx)
+    assert zs.count == 4 and zs.total_multiplicity() == 4
+    assert swept.count(window) == 1
+
+
 def test_a_false_verdict_locates_against_its_own_count(monkeypatch):
     # the quarter path has certified the 4 zeros +-pi +- 0.64i; location
     # checks its multiplicities against that count instead of sweeping the
@@ -1120,4 +1176,4 @@ def test_evaluation_counts_of_two_offender_verdicts(monkeypatch):
     counts.update(twin=0, mpmath=0)
     v = verify_all_real(case8, mpf("-0.25"), Rectangle.make("1.5", "4.8", -2, 2), ctx)
     assert v.all_real is False and abs(v.worst_offender.real - mp.pi) < mpf("1e-8")
-    assert counts == {"twin": 1217, "mpmath": 82}
+    assert counts == {"twin": 1217, "mpmath": 26}
