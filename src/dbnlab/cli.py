@@ -536,6 +536,8 @@ def _cmd_lehmer(args, cfg, emit):
             % (k_to, k_to + 1, len(table))
         )
     radius = _parse_mpf(args.radius, "--radius")
+    if not radius > 0:
+        raise SchemaError("--radius must be positive")
 
     jobs = [(table, k, radius, cfg.digits, cfg.target_tol) for k in range(k_from, k_to + 1)]
     for kind, fields in _pool_map(jobs, _lehmer_job, cfg.workers):

@@ -23,6 +23,16 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cmp,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sub,
+)
 
 from .measures import EvenMeasure, tail_set, transform_function
 from .precision import (
@@ -359,13 +369,17 @@ def lehmer_lower_bound(
     Indices are 1-based to match the ascending-table convention.  The
     interaction sum g_k runs over the symmetrized list (x_{-j} = -x_j)
     restricted to |x_j - x_k| <= truncation_radius; the full sum is
-    infinite, so the radius is recorded with the result.  The ascending
-    table puts the terms in two runs, x_j near x_k and x_j near -x_k,
-    which bisection finds; the exact test still decides each term, and
-    the terms are added in the order j = 1..n, +x_j before -x_j.  A
-    nonpositive bracket 1 - (5/4) gap^2 g_k, or g_k = 0 (no term within
-    the radius), is a domain failure of the formula and is reported,
-    never clamped.
+    infinite, so the radius is recorded with the result; a radius of inf
+    takes the whole table, and nan is refused.  The ascending table puts
+    the terms in two runs, +x_j near x_k and -x_j near x_k, which
+    bisection finds; a sign outside its run fails the exact test and is
+    skipped, and the exact test decides every signed ordinate in its run.
+    The terms are summed on raw libmp tuples in the order j = 1..n, +x_j
+    before -x_j, each operation rounded as its mpf operator rounds it (the
+    operator's own libmp call at the context's precision and rounding), so
+    g_k is bit for bit the plain mpf loop's.  A nonpositive bracket
+    1 - (5/4) gap^2 g_k, or g_k = 0 (no term within the radius), is a
+    domain failure of the formula and is reported, never clamped.
     """
     ctx = ctx or PrecisionContext()
     n = len(table.ordinates)
@@ -373,25 +387,44 @@ def lehmer_lower_bound(
         raise DomainError("need 1 <= k < table size (k and k+1 must index ordinates)")
     with ctx.workdps():
         radius = mpf(truncation_radius)
-        if radius <= 0:
-            raise DomainError("truncation_radius must be positive")
+        if not radius > 0:  # nan too; inf takes the whole table
+            raise DomainError("truncation_radius must be positive, got %s" % radius)
         xs = table.ordinates
-        xk = xs[k - 1]
-        xk1 = xs[k]
+        xk = mp.convert(xs[k - 1])
+        xk1 = mp.convert(xs[k])
         gap = xk1 - xk
         # the two runs, padded past the rounding of the exact test
         pad = (abs(xk) + radius) * mpf(2) ** (8 - mp.prec)
         near = range(bisect_left(xs, xk - radius - pad), bisect_right(xs, xk + radius + pad))
         mirrored = range(bisect_left(xs, -xk - radius - pad), bisect_right(xs, radius - xk + pad))
-        g = mpf(0)
-        # signed index +-j over the runs, skipping j = k and j = k+1
+        prec, rnd = mp._prec_rounding
+        signed = []
         for i in sorted(set(near) | set(mirrored)):
-            for x in (xs[i], -xs[i]):
-                if x == xk or x == xk1:
-                    continue
-                if abs(x - xk) > radius:
-                    continue
-                g += 1 / ((xk - x) ** 2) + 1 / ((xk1 - x) ** 2)
+            x = mp.convert(xs[i])._mpf_
+            if i in near:
+                signed.append(x)
+            if i in mirrored:
+                signed.append(mpf_neg(x, prec, rnd))
+        # the libmp calls of x == xk, abs(x - xk) > radius and
+        # g += 1 / ((xk - x) ** 2) + 1 / ((xk1 - x) ** 2), skipping j = k and
+        # j = k+1; nearest rounding is symmetric, so |xk - x| is |x - xk|
+        a, b, r = xk._mpf_, xk1._mpf_, radius._mpf_
+        g = fzero
+        for x in signed:
+            if x == a or x == b:
+                continue
+            d = mpf_sub(a, x, prec, rnd)
+            if mpf_cmp(mpf_abs(d), r) > 0:
+                continue
+            e = mpf_sub(b, x, prec, rnd)
+            term = mpf_add(
+                mpf_rdiv_int(1, mpf_pow_int(d, 2, prec, rnd), prec, rnd),
+                mpf_rdiv_int(1, mpf_pow_int(e, 2, prec, rnd), prec, rnd),
+                prec,
+                rnd,
+            )
+            g = mpf_add(g, term, prec, rnd)
+        g = mp.make_mpf(g)
         if g == 0:
             raise DomainError(
                 "pair k=%d: no other ordinate lies within the truncation radius "

@@ -398,6 +398,19 @@ class TestTableAndFlowCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_lehmer_non_positive_radius_exits_two(self, radius, capsys):
+        # refused once as the flag is read: no division by the radius, and
+        # no identical refusal record per k
+        code, out = run_cli(
+            "lehmer", "--zeros-file", "tests/data/xi_zeros_100.txt",
+            "--k-from", "33", "--k-to", "34", "--radius=%s" % radius,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --radius")
+        assert "Traceback" not in err and records(out, "meta") == records(out)
+
     def test_flow_csv_columns(self, tmp_path):
         init = tmp_path / "init.json"
         init.write_text(json.dumps({"t": 0, "positions": [-1, 1]}))

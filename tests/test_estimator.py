@@ -13,7 +13,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -452,6 +452,71 @@ class TestLehmerLowerBound:
             for radius in ("3", "9.5"):
                 on, inside = (plain_loop_lehmer(dyadic, 6, mpf(radius) - d)[0] for d in (0, 1e-3))
                 assert on > inside
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        raw=st.lists(
+            st.one_of(
+                st.integers(1, 1600).map(lambda m: (m, 8)),
+                st.integers(10**17, 2 * 10**20).map(lambda m: (m, 10**18)),
+            ),
+            min_size=4,
+            max_size=40,
+        ),
+        light=st.booleans(),
+        data=st.data(),
+    )
+    def test_property_sweep_is_bit_identical_to_the_plain_loop(self, raw, light, data):
+        # half the ordinates are multiples of 1/8, so their distances are
+        # exact; the others are 40-digit decimals, finer than either context,
+        # so negations and differences round.  A radius drawn as a signed
+        # ordinate's computed distance |+-x_j - x_k| puts a term exactly on
+        # the boundary of the exact test.
+        with mp.workdps(40):
+            xs = tuple(sorted({mpf(m) / q for m, q in raw}))
+        assume(len(xs) >= 4)
+        k = data.draw(st.integers(1, len(xs) - 1), label="k")
+        ctx = ctx_light() if light else ctx30()
+        with ctx.workdps():
+            if data.draw(st.booleans(), label="on a distance"):
+                j = data.draw(st.integers(0, len(xs) - 1), label="j")
+                x = data.draw(st.sampled_from([xs[j], -xs[j]]), label="x")
+                radius = abs(x - xs[k - 1])
+            else:
+                radius = mpf(data.draw(st.floats(1e-3, 500) | st.just(float("inf"))))
+            want = _outcome(lambda: plain_loop_lehmer(xs, k, mpf(radius)))
+
+        def narrowed():
+            rec = est.lehmer_lower_bound(est.ZeroTable(xs), k, radius, ctx)
+            return rec.g_k, rec.lambda_k
+
+        got = _outcome(narrowed)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple), (k, radius)
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (k, radius)
+        else:
+            assert got == want, (k, radius)
+
+    def test_nan_radius_is_refused_and_inf_takes_the_whole_table(self):
+        ctx = ctx_light()
+        table = est.ingest_zero_table((DATA / "xi_zeros_100.txt").read_text(), ctx=ctx)
+        with pytest.raises(DomainError, match="truncation_radius"):
+            est.lehmer_lower_bound(table, 34, "nan", ctx)
+        whole = est.lehmer_lower_bound(table, 34, "inf", ctx)
+        # every signed ordinate lies within x_34 + x_100 < 348 of x_34
+        assert whole.g_k == est.lehmer_lower_bound(table, 34, 500, ctx).g_k
+        assert whole.truncation_radius == mpf("inf")
+        with ctx.workdps():
+            assert whole.g_k == plain_loop_lehmer(table.ordinates, 34, mpf("inf"))[0]
+
+    def test_float_and_int_ordinates_read_as_their_exact_values(self):
+        ctx = ctx_light()
+        floats = (1.0, 2.0, 3.0, 5.0, 5.125, 7.0, 8.0)
+        with ctx.workdps():
+            want = est.lehmer_lower_bound(est.ZeroTable(tuple(map(mpf, floats))), 4, 100, ctx)
+        for xs in (floats, (1, 2, 3, 5, 5.125, 7, 8)):
+            got = est.lehmer_lower_bound(est.ZeroTable(xs), 4, 100, ctx)
+            assert (got.gap, got.g_k, got.lambda_k) == (want.gap, want.g_k, want.lambda_k)
 
     def test_no_term_within_the_radius_is_a_domain_error(self):
         # g_k = 0 would divide the bound by zero
