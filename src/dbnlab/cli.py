@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -30,7 +29,6 @@ from .estimator import (
     monotonicity_warnings,
     scan_lambda,
 )
-from .flow import FlowState, backward_heat_residual, integrate_flow
 from .leeyang import PLUS_MINUS_ONE, SiteMeasure, SpinSystem, verify_leeyang
 from .measures import EvenMeasure, eval_H, make_measure, transform_function
 from .numerics import eval_phi, eval_theta, eval_xi_reference
@@ -303,6 +301,8 @@ def parse_system_spec(spec) -> SpinSystem:
 
 def _parse_flow_init(spec):
     """Initial flow state from JSON: [x1, ...] or {"t": t0, "positions": [...]}."""
+    from .flow import FlowState  # numpy only for the flow jobs
+
     if isinstance(spec, list):
         t0, node = 0.0, spec
     else:
@@ -379,6 +379,8 @@ def _case_job(args):
 def _pool_map(jobs, worker, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         return [worker(j) for j in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(worker, jobs))
 
@@ -546,6 +548,8 @@ def _cmd_lehmer(args, cfg, emit):
 
 
 def _cmd_flow(args, cfg, emit):
+    from .flow import integrate_flow
+
     init = _parse_flow_init(_load_json(args.init))
     t_end = float(_expect_number(args.t_end, "--t-end"))
     if args.checkpoints < 1:
@@ -564,6 +568,8 @@ def _cmd_flow(args, cfg, emit):
 
 
 def _cmd_heat_residual(args, cfg, emit):
+    from .flow import backward_heat_residual
+
     ctx = cfg.context()
     measure = parse_measure_spec(_load_json(args.measure), ctx)
     lam = _parse_mpf(args.lam, "--lambda")

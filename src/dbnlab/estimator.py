@@ -325,7 +325,7 @@ def ingest_zero_table(stream, source_label: str = "", ctx: PrecisionContext = No
     """Parse a text table of positive ordinates, one per line.
 
     '#'-prefixed lines and blank lines are skipped.  The table must be
-    strictly ascending and positive; violations name the line.
+    finite, strictly ascending and positive; violations name the line.
     """
     ctx = ctx or PrecisionContext()
     if isinstance(stream, bytes):
@@ -347,6 +347,8 @@ def ingest_zero_table(stream, source_label: str = "", ctx: PrecisionContext = No
                 x = mpf(line)
             except ValueError:
                 raise SchemaError("line %d: cannot parse %r as a number" % (lineno, line))
+            if not mpmath.isfinite(x):
+                raise SchemaError("line %d: ordinate %s is not finite" % (lineno, line))
             if x <= 0:
                 raise SchemaError("line %d: ordinate %s is not positive" % (lineno, line))
             if ordinates and x <= ordinates[-1]:

@@ -49,10 +49,14 @@ ask fn.twin first (see TransformFunction.twin).  It answers with a float
 value whose rounding bound lies 2^20 below it, so that its sign is the
 mpmath value's and f'/f moves far less than a winding count can notice,
 or with None (always for an AnalyticFunction), and a None point takes
-mpmath.  The edge integrals run in float64 whatever the point's route:
-numerics.integrate_adaptive on float ends, with complex z, f'/f dz and
-moments, each panel's rounding bound in its estimate, and |f| compared
-as log|f| (the transform's values leave the float range).  Their sums
+mpmath.  The axis scan decides sign, clearance of the error estimate and
+the order of |f| on the twin's floats: each point carries an int sign, a
+flag and an exact (binary exponent, mantissa) key, and an mpf |f| is
+built only for the double-zero gate.  The edge integrals run in float64
+whatever the point's route: numerics.integrate_adaptive on float ends,
+with complex z, f'/f dz and moments, each panel's rounding bound in its
+estimate, and |f| compared as log|f| (the transform's values leave the
+float range).  Their sums
 only feed decisions, a winding within WINDING_SLACK of an integer or
 power sums that seed Newton, and come back as mpc.  Newton polishing,
 the Kantorovich certificates, root bisection and every reported number
@@ -66,7 +70,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from . import numerics
 from .measures import EvenMeasure, transform_function
@@ -755,15 +759,37 @@ def locate_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> ZeroSet:
 
 
 class _Grid(NamedTuple):
-    """One grid of an axis scan: Re f at the points xs, the error estimates
-    of those values, the cells i whose ends vals[i], vals[i+1] have opposite
-    nonzero signs, and the grid step."""
+    """One grid of an axis scan: its points xs and, per point, the sign of
+    Re f as an int (0 at an exact zero), whether |Re f| stands clear of its
+    error estimate, and an order key of |Re f| (see _order_key); the cells
+    i whose ends have opposite nonzero signs, and the grid step."""
 
     xs: list
-    vals: list
-    errs: list
+    signs: list
+    clear: list
+    keys: list
     crossings: list
     cell: mpf
+
+
+#: the order key of |f| = 0, below every other
+_ZERO_KEY = (-math.inf, 0)
+
+
+def _order_key(man, exp, width):
+    """(binary exponent, mantissa) of man 2^exp, man > 0, with the mantissa
+    an int of exactly width bits: keys of one width compare as the values
+    they stand for, whatever each value's route or scale."""
+    bc = man.bit_length()
+    return exp + bc, man << (width - bc)
+
+
+def _magnitude(key):
+    """The mpf a key stands for (exactly)."""
+    e, man = key
+    if not man:
+        return mpf(0)
+    return mp.make_mpf(libmp.from_man_exp(man, e - man.bit_length()))
 
 
 def _golden_scan(fn, a, b, n, max_points):
@@ -778,36 +804,59 @@ def _golden_scan(fn, a, b, n, max_points):
     certificate of its own.  A caller that asks for a grid past one of
     max_points or more gets a ResolutionError instead: its crossings never
     settled, and that grid's zeros would be a guess.
+
+    Point i is a + (b - a) i / (n - 1), from the libmp calls the mpf
+    operators make.  A twin value v 2^s with bound e takes its sign,
+    clearance and key in float: |v| > e + |v| 2^-prec (the bound and the
+    rounding of Re v to the working precision) is the mpf test on both
+    sides scaled by 2^s, and |v| is rounded to the working precision first,
+    as abs() of its mpf would be, where that holds fewer than 53 bits.  A
+    point without a twin value takes mpmath and the same fields from its
+    mpf value.
     """
+    prec, rnd = mp._prec_rounding
+    width, ulp = max(prec, 53), 2.0**-prec
+    start, span = mp.convert(a)._mpf_, mp.convert(b - a)._mpf_
     history = []
     while True:
-        xs = [a + (b - a) * mpf(i) / (n - 1) for i in range(n)]
-        vals, errs = [], []
-        for x in xs:
-            z = mpc(x, 0)
-            got = fn.twin(z)
+        last = libmp.from_int(n - 1)
+        xs, signs, clear, keys = [], [], [], []
+        for i in range(n):
+            x = libmp.mpf_add(
+                start,
+                libmp.mpf_div(libmp.mpf_mul(span, libmp.from_int(i), prec, rnd), last, prec, rnd),
+                prec,
+                rnd,
+            )
+            xs.append(mp.make_mpf(x))
+            got = fn.twin(libmp.to_float(x, rnd=rnd))
             if got is None:
-                v, e = fn.value_and_error(z)
-                vals.append(mpmath.re(v))
-                errs.append(e)
+                v, e = fn.value_and_error(mpc(xs[-1], 0))
+                v = mpmath.re(v)
+                av = abs(v)
+                negative, man, _, _ = v._mpf_
+                signs.append((-1 if negative else 1) if man else 0)
+                clear.append(av > e)
+                _, man, exp, _ = av._mpf_
             else:
-                # the bound, and the rounding of Re v to the working precision
                 v, _, e, shift = got
-                vals.append(mpmath.ldexp(v.real, shift))
-                errs.append(mpmath.ldexp(e + abs(v.real) * 2.0**-mp.prec, shift))
-        crossings = [
-            i
-            for i in range(n - 1)
-            if vals[i] != 0
-            and vals[i + 1] != 0
-            and mpmath.sign(vals[i]) != mpmath.sign(vals[i + 1])
-        ]
-        yield _Grid(xs, vals, errs, crossings, (b - a) / (n - 1))
+                v = v.real
+                av = abs(v)
+                bound = e + av * ulp
+                if prec < 53:
+                    av = libmp.to_float(libmp.from_float(av, prec, rnd))
+                signs.append((v > 0) - (v < 0))
+                clear.append(av > bound)
+                m, exp = math.frexp(av)
+                man, exp = int(m * 2.0**53), exp - 53 + shift
+            keys.append(_order_key(man, exp, width) if man else _ZERO_KEY)
+        crossings = [i for i in range(n - 1) if signs[i] * signs[i + 1] < 0]
+        yield _Grid(xs, signs, clear, keys, crossings, (b - a) / (n - 1))
         # sign changes with exact zeros skipped: a simple zero that lands on
         # a grid point counts once, on or off the grid, so it cannot keep
         # the count from settling
-        signs = [mpmath.sign(v) for v in vals if v != 0]
-        history.append(sum(1 for s, t in zip(signs, signs[1:]) if s != t))
+        nonzero = [s for s in signs if s]
+        history.append(sum(1 for s, t in zip(nonzero, nonzero[1:]) if s != t))
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             return
         if n >= max_points:
@@ -821,11 +870,11 @@ def _golden_scan(fn, a, b, n, max_points):
 def _quiet_minima(grid):
     """Interior grid points i where |f| has a local minimum with no sign
     change on either side."""
-    vals, crossed = grid.vals, set(grid.crossings)
+    keys, crossed = grid.keys, set(grid.crossings)
     return [
         i
-        for i in range(1, len(vals) - 1)
-        if abs(vals[i]) <= min(abs(vals[i - 1]), abs(vals[i + 1]))
+        for i in range(1, len(keys) - 1)
+        if keys[i] <= min(keys[i - 1], keys[i + 1])
         and i - 1 not in crossed
         and i not in crossed
     ]
@@ -835,9 +884,9 @@ def _double_zero_candidates(grid):
     """The quiet minima where |f| is below the gate: the possible double
     zeros (or near-axis nonreal pairs) of a scan.  The gate allows for
     grid-resolution distance from a quadratic minimum."""
-    vals, cell = grid.vals, grid.cell
-    gate = (max(abs(v) for v in vals) + mpf(10) ** (-mp.dps)) * min(mpf(1), 64 * cell * cell)
-    return [i for i in _quiet_minima(grid) if abs(vals[i]) < gate]
+    keys, cell = grid.keys, grid.cell
+    gate = (_magnitude(max(keys)) + mpf(10) ** (-mp.dps)) * min(mpf(1), 64 * cell * cell)
+    return [i for i in _quiet_minima(grid) if _magnitude(keys[i]) < gate]
 
 
 def locate_real_zeros(f, interval, ctx: PrecisionContext = None, refine_tol=None):
@@ -865,7 +914,7 @@ def locate_real_zeros(f, interval, ctx: PrecisionContext = None, refine_tol=None
         tol = max(tol, mpf(10) ** (3 - mp.dps))
         for grid in _golden_scan(fn, a, b, AXIS_POINTS, AXIS_MAX_POINTS):
             pass
-        xs, vals, _, crossings, cell = grid
+        xs, signs, _, _, crossings, cell = grid
 
         def fx(x):
             return mpmath.re(fn(mpc(x, 0)))
@@ -873,23 +922,22 @@ def locate_real_zeros(f, interval, ctx: PrecisionContext = None, refine_tol=None
         found: list = []
 
         # exact-zero grid points
-        for i, v in enumerate(vals):
-            if v == 0:
+        for i, s in enumerate(signs):
+            if s == 0:
                 found.append(LocatedZero(mpc(xs[i], 0), 1, mpf(0)))
 
         # sign-change cells -> bisection
         for i in crossings:
             lo, hi = xs[i], xs[i + 1]
-            flo = vals[i]
+            lo_positive = signs[i] > 0
             while hi - lo > tol:
                 mid = (lo + hi) / 2
                 fm = fx(mid)
                 if fm == 0:
                     lo = hi = mid
                     break
-                if mpmath.sign(fm) == mpmath.sign(flo):
+                if (fm > 0) == lo_positive:
                     lo = mid
-                    flo = fm
                 else:
                     hi = mid
             root = (lo + hi) / 2
@@ -1081,10 +1129,8 @@ def _axis_count(fn, window: Rectangle, total, tol):
     else:
         lo, mirrors, points = window.re_min, 1, (AXIS_POINTS, AXIS_MAX_POINTS)
     for grid in _golden_scan(fn, lo, window.re_max, *points):
-        v, e = grid.vals, grid.errs
-        certain = mirrors * sum(
-            1 for i in grid.crossings if abs(v[i]) > e[i] and abs(v[i + 1]) > e[i + 1]
-        )
+        clear = grid.clear
+        certain = mirrors * sum(1 for i in grid.crossings if clear[i] and clear[i + 1])
         if certain < total:
             found = _certify_minimum(fn, grid, window, tol)
             if isinstance(found, _Offender):
@@ -1122,7 +1168,7 @@ def _certify_minimum(fn, grid, window: Rectangle, tol):
     candidates = _double_zero_candidates(grid) or _quiet_minima(grid)
     if not candidates:
         return 0
-    i = min(candidates, key=lambda i: abs(grid.vals[i]))
+    i = min(candidates, key=grid.keys.__getitem__)
     x = grid.xs[i]
     at = fn.parts(mpc(x, 0), ("value", "deriv", "moment2"))
     h, d, m2 = (mpmath.re(at[q].value) for q in ("value", "deriv", "moment2"))  # m2 = -H''

@@ -8,6 +8,10 @@ sequential records exactly.
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -411,6 +415,17 @@ class TestTableAndFlowCommands:
         assert err.startswith("error: --radius")
         assert "Traceback" not in err and records(out, "meta") == records(out)
 
+    def test_lehmer_non_finite_ordinate_exits_two(self, tmp_path, capsys):
+        table = tmp_path / "zeros.txt"
+        table.write_text("1\n2\nnan\n3\ninf\n")
+        code, out = run_cli(
+            "lehmer", "--zeros-file", str(table), "--k-from", "1", "--k-to", "2",
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 3" in err and "Traceback" not in err
+        assert records(out, "lehmer_pair") == []
+
     def test_flow_csv_columns(self, tmp_path):
         init = tmp_path / "init.json"
         init.write_text(json.dumps({"t": 0, "positions": [-1, 1]}))
@@ -602,3 +617,14 @@ class TestOutputContract:
         assert run_cli("phi", "--u", "0", "--digits", "10")[0] == 2
         assert run_cli("phi", "--u", "0", "--workers", "0")[0] == 2
         assert run_cli("--help")[0] == 0
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    # only the flow and heat-residual jobs use numpy; every other command's
+    # interpreter starts without it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, dbnlab.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

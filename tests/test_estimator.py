@@ -297,6 +297,15 @@ class TestIngestZeroTable:
         with pytest.raises(SchemaError):
             est.ingest_zero_table("-3.0\n")
 
+    @pytest.mark.parametrize(
+        "text, line", [("1\n2\nnan\n3\ninf\n", 3), ("1\n2\ninf\n", 3), ("-inf\n", 1)]
+    )
+    def test_non_finite_rejected_with_line(self, text, line):
+        # nan passes every comparison check, and inf would end an ascending
+        # table that the close-pair sweep bisects
+        with pytest.raises(SchemaError, match="line %d: ordinate .* is not finite" % line):
+            est.ingest_zero_table(text)
+
     def test_file_like_input(self):
         with open(DATA / "xi_zeros_100.txt") as f:
             t = est.ingest_zero_table(f)

@@ -6,11 +6,13 @@ and near-threshold policies at its known reality threshold log 2; the
 Riemann weight supplies nontrivial quadrature-backed targets.
 """
 
+import math
 from dataclasses import replace
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -1015,7 +1017,7 @@ def test_a_scan_point_next_to_a_zero_takes_mpmath(monkeypatch):
     reals = locate_real_zeros(fn, (0, a), ctx)
     with ctx.workdps(5):
         count = _symmetric_count(fn, window)
-        at_zero = [got for z, got in calls if z == mpc(a / 2, 0)]
+        at_zero = [got for z, got in calls if complex(z) == complex(mpc(a / 2, 0))]
     assert at_zero and all(got is None for got in at_zero)
     assert sum(got is not None for _, got in calls) > 0.9 * len(calls)
     _twin_off(monkeypatch)
@@ -1177,3 +1179,181 @@ def test_evaluation_counts_of_two_offender_verdicts(monkeypatch):
     v = verify_all_real(case8, mpf("-0.25"), Rectangle.make("1.5", "4.8", -2, 2), ctx)
     assert v.all_real is False and abs(v.worst_offender.real - mp.pi) < mpf("1e-8")
     assert counts == {"twin": 1217, "mpmath": 26}
+
+
+# ---------------------------------------------------------------------------
+# the axis scan against its mpf reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_scan(fn, a, b, n, max_points):
+    """The axis scan in mpmath: grids (xs, vals, errs, crossings, cell),
+    each twin value and error carried into an mpf by ldexp."""
+    history = []
+    while True:
+        xs = [a + (b - a) * mpf(i) / (n - 1) for i in range(n)]
+        vals, errs = [], []
+        for x in xs:
+            z = mpc(x, 0)
+            got = fn.twin(z)
+            if got is None:
+                v, e = fn.value_and_error(z)
+                vals.append(mpmath.re(v))
+                errs.append(e)
+            else:
+                v, _, e, shift = got
+                vals.append(mpmath.ldexp(v.real, shift))
+                errs.append(mpmath.ldexp(e + abs(v.real) * 2.0**-mp.prec, shift))
+        crossings = [
+            i
+            for i in range(n - 1)
+            if vals[i] != 0
+            and vals[i + 1] != 0
+            and mpmath.sign(vals[i]) != mpmath.sign(vals[i + 1])
+        ]
+        yield xs, vals, errs, crossings, (b - a) / (n - 1)
+        signs = [mpmath.sign(v) for v in vals if v != 0]
+        history.append(sum(1 for s, t in zip(signs, signs[1:]) if s != t))
+        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
+            return
+        if n >= max_points:
+            raise ResolutionError(
+                "axis scan of [%s, %s] reached %d points with crossing counts %s"
+                % (mpmath.nstr(a, 8), mpmath.nstr(b, 8), n, history[-3:])
+            )
+        n = int(n * mpf("1.618")) + 1
+
+
+def _reference_quiet_minima(vals, crossings):
+    crossed = set(crossings)
+    return [
+        i
+        for i in range(1, len(vals) - 1)
+        if abs(vals[i]) <= min(abs(vals[i - 1]), abs(vals[i + 1]))
+        and i - 1 not in crossed
+        and i not in crossed
+    ]
+
+
+def _reference_candidates(vals, crossings, cell):
+    gate = (max(abs(v) for v in vals) + mpf(10) ** (-mp.dps)) * min(mpf(1), 64 * cell * cell)
+    return [i for i in _reference_quiet_minima(vals, crossings) if abs(vals[i]) < gate]
+
+
+def _grids(scan):
+    """The grids a scan yields, and the message of the ResolutionError that
+    ended it (None when it settled)."""
+    grids = []
+    try:
+        for grid in scan:
+            grids.append(grid)
+    except ResolutionError as e:
+        return grids, str(e)
+    return grids, None
+
+
+def _assert_scan_matches_reference(make_fn, a, b, n, max_points):
+    """Each scan runs on its own fn and plan cache: a plan box is built by
+    the first point in it, which takes mpmath, so a shared one would move
+    the fallbacks.  Returns the number of grids."""
+    with mock.patch.object(measures, "_PLANS", {}):
+        ref, ref_end = _grids(_reference_scan(make_fn(), a, b, n, max_points))
+    with mock.patch.object(measures, "_PLANS", {}):
+        got, got_end = _grids(zeros._golden_scan(make_fn(), a, b, n, max_points))
+    assert got_end == ref_end and len(got) == len(ref)
+    for (xs, vals, errs, crossings, cell), grid in zip(ref, got):
+        assert [x._mpf_ for x in grid.xs] == [x._mpf_ for x in xs]
+        assert grid.cell == cell
+        assert grid.signs == [int(mpmath.sign(v)) for v in vals]
+        assert grid.crossings == crossings
+        assert grid.clear == [abs(v) > e for v, e in zip(vals, errs)]
+        assert [zeros._magnitude(k)._mpf_ for k in grid.keys] == [abs(v)._mpf_ for v in vals]
+        quiet = _reference_quiet_minima(vals, crossings)
+        candidates = _reference_candidates(vals, crossings, cell)
+        assert zeros._quiet_minima(grid) == quiet
+        assert zeros._double_zero_candidates(grid) == candidates
+        if quiet:
+            deepest = min(candidates or quiet, key=lambda i: abs(vals[i]))
+            assert min(candidates or quiet, key=grid.keys.__getitem__) == deepest
+    return len(got)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    convolved=st.booleans(),
+    w1=st.floats(0.05, 0.95),
+    t=st.floats(0.5, 2),
+    lam_unit=st.floats(0, 1),
+    lo=st.floats(-6, 4),
+    width=st.floats(0.5, 10),
+    n=st.integers(9, 65),
+    max_points=st.sampled_from([9, 700]),
+    digits=st.sampled_from([8, 20, 30]),
+)
+@example(False, 1 / 3, 1, (math.log(2) + 1) / 2, 0, 8, 65, 700, 20)  # a double zero at pi
+def test_property_axis_scan_matches_the_mpf_reference(
+    convolved, w1, t, lam_unit, lo, width, n, max_points, digits
+):
+    """Two atoms at lam in [-1, 1], or smeared with b0 = 10 at lam in
+    [0, 9.9] (weights past the float range near b0), at 8 digits (fewer
+    than 53 bits: abs() rounds a twin value), 20 and 30; a scan capped at
+    9 points ends in a ResolutionError after its first grid."""
+    ctx = PrecisionContext(working_digits=digits, target_abs_tol=mpf(10) ** (2 - digits))
+    with ctx.workdps(5):
+        atoms = symmetric_atoms([(0, 1 - mpf(w1)), (mpf(t), mpf(w1))], ctx)
+        measure = convolve_gaussian(atoms, 10, ctx) if convolved else atoms
+        lam = mpf(9.9 * lam_unit if convolved else 2 * lam_unit - 1)
+        _assert_scan_matches_reference(
+            lambda: transform_function(measure, lam, ctx), mpf(lo), mpf(lo + width), n, max_points
+        )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    c=st.sampled_from([0, 1, -1, 0.999]),
+    w=st.floats(0.5, 3),
+    lo=st.floats(-8, 4),
+    width=st.floats(0.5, 12),
+    n=st.integers(9, 65),
+    digits=st.sampled_from([8, 20]),
+)
+def test_property_axis_scan_of_a_plain_function_matches_the_mpf_reference(
+    c, w, lo, width, n, digits
+):
+    """cos(w z) - c has no twin, so every point takes mpmath; c = +-1 makes
+    double zeros."""
+    ctx = PrecisionContext(working_digits=digits, target_abs_tol=mpf(10) ** (2 - digits))
+    with ctx.workdps(5):
+        w, c = mpf(w), mpf(c)
+        _assert_scan_matches_reference(
+            lambda: as_analytic(lambda z: mpmath.cos(w * z) - c), mpf(lo), mpf(lo + width), n, 700
+        )
+
+
+def test_axis_scan_with_a_root_on_a_grid_point_matches_the_mpf_reference():
+    # the middle point of [-5, 5] on an odd grid is exactly 0
+    ctx = ctx_light()
+    with ctx.workdps(5):
+        fn = as_analytic(lambda z: z * (z * z - 2) * (z - 3) ** 2)
+        assert _assert_scan_matches_reference(lambda: fn, mpf(-5), mpf(5), 65, zeros.AXIS_MAX_POINTS) >= 3
+        (first, *_), _ = _grids(zeros._golden_scan(fn, mpf(-5), mpf(5), 65, zeros.AXIS_MAX_POINTS))
+        assert first.signs[32] == 0 and first.keys[32] == zeros._ZERO_KEY
+
+
+def test_axis_scan_of_phi_matches_the_mpf_reference():
+    # the first point in each plan box builds the box and takes mpmath
+    ctx = ctx_light()
+    with ctx.workdps(5):
+        phi = named_density("RiemannPhi", ctx)
+    fallbacks, twin = [], measures.TransformFunction.twin
+
+    def recorded(self, z, deriv=False):
+        got = twin(self, z, deriv)
+        fallbacks.append(got is None)
+        return got
+
+    with mock.patch.object(measures.TransformFunction, "twin", recorded), ctx.workdps(5):
+        _assert_scan_matches_reference(
+            lambda: transform_function(phi, 0, ctx), mpf(0), mpf(16), 65, zeros.AXIS_MAX_POINTS
+        )
+    assert any(fallbacks) and not all(fallbacks)
