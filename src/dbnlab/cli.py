@@ -551,12 +551,11 @@ def _cmd_flow(args, cfg, emit):
     from .flow import integrate_flow
 
     init = _parse_flow_init(_load_json(args.init))
-    t_end = float(_expect_number(args.t_end, "--t-end"))
+    t_end = float(_parse_mpf(args.t_end, "--t-end"))
+    step_control = float(_parse_mpf(args.step_control, "--step-control"))
     if args.checkpoints < 1:
         raise SchemaError("--checkpoints must be at least 1")
-    states = integrate_flow(
-        init, t_end, step_control=args.step_control, checkpoints=args.checkpoints
-    )
+    states = integrate_flow(init, t_end, step_control=step_control, checkpoints=args.checkpoints)
     for s in states:
         fields = {"t": s.t}
         for i, x in enumerate(s.positions, start=1):
@@ -730,7 +729,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--init", required=True)
     sp.add_argument("--t-end", required=True)
     sp.add_argument("--checkpoints", type=int, default=32)
-    sp.add_argument("--step-control", type=float, default=1e-10)
+    sp.add_argument("--step-control", default="1e-10")
     sp.set_defaults(fn=_cmd_flow)
 
     sp = sub.add_parser("heat-residual", parents=[common], help="backward-heat finite-difference residual")

@@ -373,22 +373,18 @@ def _panel_sum_float(fn, a, b, nodes, ncomp):
     return [v * half for v in acc], [m * scale for m in mag]
 
 
-def integrate_adaptive(
-    fn,
-    a,
-    b,
-    abs_tol,
-    *,
-    order: int = 24,
-    low_order: int = 12,
-    max_depth: int = 42,
-    ncomp: int = 1,
-):
+#: node counts of the two Gauss-Legendre rules integrate_adaptive compares
+#: on each panel
+_QUAD_ORDER = 24
+_QUAD_LOW_ORDER = 12
+
+
+def integrate_adaptive(fn, a, b, abs_tol, *, max_depth: int = 42, ncomp: int = 1):
     """Adaptive panel-bisection quadrature of a (vector of) integrand(s).
 
     fn(t) must return a tuple of ncomp complex values.  Each panel is
-    evaluated with Gauss-Legendre rules of two orders; the discrepancy is the
-    a-posteriori error estimate.  A panel is accepted when its estimate fits
+    evaluated with Gauss-Legendre rules of _QUAD_ORDER and _QUAD_LOW_ORDER
+    nodes; the discrepancy is the a-posteriori error estimate.  A panel is accepted when its estimate fits
     the share of abs_tol proportional to its width, otherwise it is split.
 
     The arithmetic follows the ends: on mpf ends it is mpmath at the
@@ -400,13 +396,13 @@ def integrate_adaptive(
     (values: list of complex, err_estimate: float, n_evals: int).
     """
     if isinstance(a, float) and isinstance(b, float):
-        rules = (_gl_nodes_float(order), _gl_nodes_float(low_order))
+        rules = (_gl_nodes_float(_QUAD_ORDER), _gl_nodes_float(_QUAD_LOW_ORDER))
         panel_sum, abs_tol = _panel_sum_float, float(abs_tol)
         total, err_total = [0j] * ncomp, 0.0
     else:
         a, b = mpf(a), mpf(b)
         abs_tol = mpf(abs_tol)
-        rules = (_gl_nodes(order, mp.prec), _gl_nodes(low_order, mp.prec))
+        rules = (_gl_nodes(_QUAD_ORDER, mp.prec), _gl_nodes(_QUAD_LOW_ORDER, mp.prec))
         panel_sum = _panel_sum
         total, err_total = [mpc(0)] * ncomp, mpf(0)
     width_full = b - a

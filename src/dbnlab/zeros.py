@@ -29,9 +29,10 @@ bound meet.  Where they do not, a Newton-Kantorovich certificate at the
 deepest |H| minimum either proves a nonreal zero, which makes the verdict
 "not all real", or proves a close real pair that the grid missed.  A scan
 that settles short with neither locates the window's zeros once; none more
-than _AXIS_CUT tol off the axis makes the verdict "all real".  A
-transform not real on the axis takes the full contour and a thin-strip
-count about the axis.
+than _AXIS_CUT tol off the axis makes the verdict "all real".  A window
+the path cannot count, because its count misses an integer or the
+transform is not real on the axis, is located once as well, against the
+count of that location's own sweep, and judged by the same cut.
 
 Contour hygiene: a zero on or hugging the contour makes the f'/f edge
 integral non-integrable, which the adaptive quadrature reports as
@@ -215,14 +216,16 @@ class RealityVerdict:
     """The answer of verify_all_real.
 
     window: the rectangle the verdict holds for (the requested one, or that
-        one grown where a zero hugged its contour).
+        one grown, or grown and shifted off centre by location, where a zero
+        hugged its contour).
     all_real: whether every zero of H in window is real; a located zero
         within _AXIS_CUT tol of the axis counts as real.
     worst_offender: when not all_real, the located nonreal zero closest to
         the axis with location on, and with it off the certified offender
         below, or None when no certificate held; None when all_real.
-    margin: when all_real, the half-height of window (the zero-free strip
-        it certifies on either side of the axis); otherwise |Im| of
+    margin: when all_real, the least distance from the axis to the top or
+        bottom of window (the zero-free strip it certifies on either side
+        of the axis); otherwise |Im| of
         worst_offender, or None without one.
     offender_radius: r when a Newton-Kantorovich certificate proved that
         exactly one zero lies within r of worst_offender, with r below
@@ -532,12 +535,6 @@ def _nudge(rect: Rectangle) -> Rectangle:
     return rect.nudged(mpf("1.02"), mpf("0.005"), mpf("0.003"))
 
 
-def _count_with_rect(f, rect: Rectangle, ctx: PrecisionContext):
-    fn = as_analytic(f)
-    with ctx.workdps(5):
-        return _retry_on_dip(lambda r: _count_recursive(fn, r, 0), rect, _nudge)
-
-
 def count_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> int:
     """Winding number of f around rect, certified to sit near an integer.
 
@@ -546,7 +543,9 @@ def count_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> int:
     zero-avoiding split lines, and the pieces are summed.
     """
     ctx = ctx or PrecisionContext()
-    n, _ = _count_with_rect(f, rect, ctx)
+    fn = as_analytic(f)
+    with ctx.workdps(5):
+        n, _ = _retry_on_dip(lambda r: _count_recursive(fn, r, 0), rect, _nudge)
     return n
 
 
@@ -806,16 +805,15 @@ def _golden_scan(fn, a, b, n, max_points):
     settled, and that grid's zeros would be a guess.
 
     Point i is a + (b - a) i / (n - 1), from the libmp calls the mpf
-    operators make.  A twin value v 2^s with bound e takes its sign,
-    clearance and key in float: |v| > e + |v| 2^-prec (the bound and the
-    rounding of Re v to the working precision) is the mpf test on both
-    sides scaled by 2^s, and |v| is rounded to the working precision first,
-    as abs() of its mpf would be, where that holds fewer than 53 bits.  A
-    point without a twin value takes mpmath and the same fields from its
-    mpf value.
+    operators make.  A twin value v 2^s takes its sign and key in float,
+    with |v| rounded to the working precision first, as abs() of its mpf
+    would be, where that holds fewer than 53 bits; it always stands clear
+    of its bound.  A point without a twin value takes mpmath and the same
+    fields from its mpf value, clear where |Re f| exceeds its error
+    estimate.
     """
     prec, rnd = mp._prec_rounding
-    width, ulp = max(prec, 53), 2.0**-prec
+    width = max(prec, 53)
     start, span = mp.convert(a)._mpf_, mp.convert(b - a)._mpf_
     history = []
     while True:
@@ -839,14 +837,15 @@ def _golden_scan(fn, a, b, n, max_points):
                 clear.append(av > e)
                 _, man, exp, _ = av._mpf_
             else:
-                v, _, e, shift = got
-                v = v.real
+                v, shift = got[0].real, got[3]
                 av = abs(v)
-                bound = e + av * ulp
                 if prec < 53:
                     av = libmp.to_float(libmp.from_float(av, prec, rnd))
                 signs.append((v > 0) - (v < 0))
-                clear.append(av > bound)
+                # twin answers only where TWIN_MARGIN err <= |v|, and H is
+                # real here, so |Re v| >= (2^20 - 1) err: clear of err +
+                # |Re v| 2^-prec, as a scan runs at 8 digits or more
+                clear.append(True)
                 m, exp = math.frexp(av)
                 man, exp = int(m * 2.0**53), exp - 53 + shift
             keys.append(_order_key(man, exp, width) if man else _ZERO_KEY)
@@ -1012,20 +1011,20 @@ def verify_all_real(
     than _AXIS_CUT * tol off the axis; if it reaches its point budget
     unsettled, the verdict is refused with a ResolutionError.
     A dip on the path grows the window about its centre, keeping its
-    symmetry; a path count that misses an integer falls back to the
-    winding over the whole window, which may nudge it off the axis, and
-    then the scan covers the whole real section.
+    symmetry.
 
-    A transform not real-valued on the axis compares the winding over the
-    whole window with a thin-strip winding about the axis.  A real count
-    above the winding count is a WindingError here too, and so is one
-    below it whose location finds no nonreal zero.
+    A window the path cannot count (its count misses an integer, or H is
+    not real-valued on the axis) is located once, against the count of the
+    location's own sweep, which may nudge it off the axis, and judged by
+    the same cut.
 
     With locate_offenders, a "not all real" verdict carries the located
     nonreal zero closest to the axis (see _worst_offender), the window being
-    located against its count if it was not already; without it, only a
-    certified offender, with its radius.  The margin is the certified strip
-    half-width when all real, and the offender's |Im| otherwise.
+    located against its count if it was not already; a certified offender
+    that location does not find again is a WindingError.  Without it, a
+    verdict carries only a certified offender, with its radius.  The margin
+    is the certified strip half-width when all real, and the offender's
+    |Im| otherwise.
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps(5):
@@ -1033,60 +1032,50 @@ def verify_all_real(
             raise DomainError("verification window must be symmetric about the real axis")
         fn = transform_function(measure, lam, ctx)
         tol = mpf(10) ** (-min(ctx.tol_digits, 20))
-        offender = None
+        total, offender, used = None, None, window
         if fn.real_on_axis():
             # a dip grows the window about its centre, keeping its symmetry
             total, used = _retry_on_dip(
                 lambda r: _symmetric_count(fn, r), window, lambda r: r.grown(mpf("1.02"))
             )
-            if total is None:
-                total, used = _count_with_rect(fn, used, ctx)
-            real_count = _axis_count(fn, used, total, tol)
-            if isinstance(real_count, _Offender):
-                offender, real_count = real_count, None
-        else:
-            total, used = _count_with_rect(fn, window, ctx)
-            strip = max(mpf("1e-6") * used.height, 1000 * tol)
-            real_count = count_zeros(fn, Rectangle(used.re_min, used.re_max, -strip, strip), ctx)
-            if real_count > total:
-                raise WindingError(
-                    "%d real zeros exceed the winding count %d" % (real_count, total)
-                )
-
-        all_real = RealityVerdict(window=used, all_real=True, margin=used.im_max)
-        if real_count == total:
-            return all_real
-        # the scan settled short of the count with no certificate either way
-        short = offender is None and fn.real_on_axis()
-        if not (locate_offenders or short):
-            if offender is None:
-                return RealityVerdict(window=used, all_real=False)
+        if total is not None:
+            found = _axis_count(fn, used, total, tol)
+            if isinstance(found, _Offender):
+                offender = found
+            elif found == total:
+                return RealityVerdict(window=used, all_real=True, margin=used.im_max)
+        if offender is not None and not locate_offenders:
             z, r = offender
             return RealityVerdict(
                 window=used, all_real=False, worst_offender=z,
                 margin=abs(mpmath.im(z)), offender_radius=r,
             )
 
-        # the count above is certified, so location does not count the
-        # window again
+        # the rest is located once: a scan short of its count with no
+        # certificate either way, an offender with location on (against the
+        # certified count, which location does not take again), and a window
+        # the path cannot count (against the count of location's own sweep)
         zs = _locate_counted(fn, used, total, ctx)
+        located = zs.rect
         axis_cut = _AXIS_CUT * tol
         offenders = [
             z.location for z in zs.zeros if abs(mpmath.im(z.location)) > axis_cut
         ]
         if not offenders:
-            if short:
-                return all_real
-            raise WindingError(
-                "window count %d vs real count %s, but no nonreal zero could "
-                "be isolated" % (total, real_count)
+            if offender is not None:
+                raise WindingError(
+                    "offender %s certified, but location of the window isolated "
+                    "no nonreal zero" % mpmath.nstr(offender.location, 8)
+                )
+            return RealityVerdict(
+                window=located, all_real=True, margin=min(located.im_max, -located.im_min)
             )
         if not locate_offenders:
-            return RealityVerdict(window=used, all_real=False)
+            return RealityVerdict(window=located, all_real=False)
         _check_quadruple_symmetry(fn, offenders)
         worst = _worst_offender(offenders, tol)
         return RealityVerdict(
-            window=used,
+            window=located,
             all_real=False,
             worst_offender=worst,
             margin=abs(mpmath.im(worst)),

@@ -595,12 +595,21 @@ class TestOutputContract:
                 "--rect=-8,8,-2,2",
             ]),
             ("--z", ["xi", "--z", "nan"]),
+            ("--t-end", ["flow", "--init", "{init}", "--t-end", "nan"]),
+            ("--t-end", ["flow", "--init", "{init}", "--t-end", "inf"]),
+            ("--step-control", [
+                "flow", "--init", "{init}", "--t-end", "1", "--step-control", "nan",
+            ]),
         ],
     )
-    def test_non_finite_flags_exit_two(self, flag, argv, two_atom_file, capsys):
+    def test_non_finite_flags_exit_two(self, flag, argv, two_atom_file, tmp_path, capsys):
         # no flag takes nan or an infinity: each is refused as it is parsed,
         # not printed as a value and not left to fail further in
-        code, out = run_cli(*[a.replace("{m}", two_atom_file) for a in argv])
+        init = tmp_path / "init.json"
+        init.write_text("[0.0, 1.0]")
+        code, out = run_cli(
+            *[a.replace("{m}", two_atom_file).replace("{init}", str(init)) for a in argv]
+        )
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: %s: expected a finite number" % flag)

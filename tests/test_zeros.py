@@ -423,26 +423,27 @@ class TestVerifyAllReal:
             )
 
     @pytest.mark.parametrize("re_min, re_max", [(-8, 8), (-5, 9)])
-    def test_a_path_count_off_an_integer_falls_back_to_the_whole_contour(
+    def test_a_path_count_off_an_integer_locates_the_window_once(
         self, monkeypatch, re_min, re_max
     ):
-        # with the path count refused, the winding over the whole window
-        # counts instead, once per verdict, and the axis scan meets it on
-        # both sides of log 2 on a centred and an off-centre window
-        counts, whole = [], zeros._count_with_rect
+        # with the path count refused, the window is located once per
+        # verdict against the count of its own sweep, and the cut gives the
+        # right answer on both sides of log 2 on a centred and an
+        # off-centre window
+        located, locate = [], zeros._locate_counted
 
-        def recorded(f, rect, ctx):
-            counts.append(rect)
-            return whole(f, rect, ctx)
+        def recorded(fn, rect, n, ctx):
+            located.append((rect, n))
+            return locate(fn, rect, n, ctx)
 
         monkeypatch.setattr(zeros, "_symmetric_count", lambda fn, rect: None)
-        monkeypatch.setattr(zeros, "_count_with_rect", recorded)
+        monkeypatch.setattr(zeros, "_locate_counted", recorded)
         ctx = ctx_light()
         window = Rectangle.make(re_min, re_max, -2, 2)
         for lam, want in (("1", True), ("0.5", False)):
             v = verify_all_real(two_atom_cosine(), mpf(lam), window, ctx, locate_offenders=False)
             assert v.all_real is want
-        assert counts == [window, window]
+        assert located == [(window, None), (window, None)]
 
     @pytest.mark.parametrize("above", ["1e-6", "1e-9"])
     def test_near_double_real_pair_above_threshold_reaches_true(self, monkeypatch, above):
@@ -970,12 +971,45 @@ def test_locate_zeros_sweeps_its_top_rectangle_once(monkeypatch):
 
 def test_a_false_verdict_locates_against_its_own_count(monkeypatch):
     # the quarter path has certified the 4 zeros +-pi +- 0.64i; location
-    # checks its multiplicities against that count instead of sweeping the
+    # checks its multiplicities against that count instead of counting the
     # whole window again with the full contour
     counts = []
-    monkeypatch.setattr(zeros, "_count_with_rect", lambda *args: counts.append(args))
+    monkeypatch.setattr(zeros, "_count_recursive", lambda *args: counts.append(args))
     v = verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-4, 4, -1, 1), ctx_light())
     assert v.all_real is False and counts == []
+
+
+@pytest.mark.parametrize("b", ["0", "0.5"])
+@pytest.mark.parametrize("locate_offenders", [False, True])
+def test_a_transform_not_real_on_the_axis_is_located_once(monkeypatch, b, locate_offenders):
+    # Case 6 has one zero, 2(1-b)i, and no path count: its window is located
+    # once against the count of its own sweep, with no winding count of the
+    # window or of a strip about the axis
+    located, locate = [], zeros._locate_counted
+
+    def recorded(fn, rect, n, ctx):
+        located.append((rect, n))
+        return locate(fn, rect, n, ctx)
+
+    def refused(*args):
+        pytest.fail("a Case 6 verdict makes no winding count")
+
+    monkeypatch.setattr(zeros, "_locate_counted", recorded)
+    monkeypatch.setattr(zeros, "_count_recursive", refused)
+    ctx = ctx_light()
+    window = Rectangle.make(-4, 4, -3, 3)
+    v = verify_all_real(
+        named_density("Case6", ctx), mpf(b), window, ctx, locate_offenders=locate_offenders
+    )
+    assert v.all_real is False and v.window == window
+    assert located == [(window, None)]
+    if locate_offenders:
+        with ctx.workdps():
+            target = mpc(0, 2 * (1 - mpf(b)))
+        assert abs(v.worst_offender - target) < mpf("1e-8")
+        assert v.margin == abs(mpmath.im(v.worst_offender))
+    else:
+        assert v.worst_offender is None and v.margin is None
 
 
 # ---------------------------------------------------------------------------
