@@ -422,11 +422,8 @@ class TestVerifyAllReal:
                 locate_offenders=False,
             )
 
-    @pytest.mark.parametrize("re_min, re_max", [(-8, 8), (-5, 9)])
-    def test_a_path_count_off_an_integer_locates_the_window_once(
-        self, monkeypatch, re_min, re_max
-    ):
-        # with the path count refused, the window is located once per
+    def test_a_path_count_off_an_integer_falls_back_to_the_whole_contour(self, monkeypatch):
+        # with the path count refused, the whole window is located once per
         # verdict against the count of its own sweep, and the cut gives the
         # right answer on both sides of log 2 on a centred and an
         # off-centre window
@@ -439,11 +436,15 @@ class TestVerifyAllReal:
         monkeypatch.setattr(zeros, "_symmetric_count", lambda fn, rect: None)
         monkeypatch.setattr(zeros, "_locate_counted", recorded)
         ctx = ctx_light()
-        window = Rectangle.make(re_min, re_max, -2, 2)
-        for lam, want in (("1", True), ("0.5", False)):
-            v = verify_all_real(two_atom_cosine(), mpf(lam), window, ctx, locate_offenders=False)
-            assert v.all_real is want
-        assert located == [(window, None), (window, None)]
+        for re_min, re_max in ((-8, 8), (-5, 9)):
+            located.clear()
+            window = Rectangle.make(re_min, re_max, -2, 2)
+            for lam, want in (("1", True), ("0.5", False)):
+                v = verify_all_real(
+                    two_atom_cosine(), mpf(lam), window, ctx, locate_offenders=False
+                )
+                assert v.all_real is want
+            assert located == [(window, None), (window, None)]
 
     @pytest.mark.parametrize("above", ["1e-6", "1e-9"])
     def test_near_double_real_pair_above_threshold_reaches_true(self, monkeypatch, above):
