@@ -553,6 +553,10 @@ def _cmd_flow(args, cfg, emit):
     init = _parse_flow_init(_load_json(args.init))
     t_end = float(_parse_mpf(args.t_end, "--t-end"))
     step_control = float(_parse_mpf(args.step_control, "--step-control"))
+    if not t_end > init.t:
+        raise SchemaError("--t-end must exceed the initial time %r" % init.t)
+    if not step_control > 0:
+        raise SchemaError("--step-control must be positive")
     if args.checkpoints < 1:
         raise SchemaError("--checkpoints must be at least 1")
     states = integrate_flow(init, t_end, step_control=step_control, checkpoints=args.checkpoints)

@@ -732,8 +732,9 @@ def _case8_closed(p, lam, ctx):
         return sites[k - 1][1]
 
     def fweight(k):
-        weight(k)
-        fsites.extend((float(W), float(Wt)) for _, W, Wt, _ in sites[len(fsites):])
+        if k > len(fsites):
+            weight(k)
+            fsites.extend((float(W), float(Wt)) for _, W, Wt, _ in sites[len(fsites):])
         return fsites[k - 1][0]
 
     # keep every atom before the first k > 3 whose term W_k e^{|Im z| k} is

@@ -59,13 +59,16 @@ with complex z, f'/f dz and moments, each panel's rounding bound in its
 estimate, and |f| compared as log|f| (the transform's values leave the
 float range).  Their sums
 only feed decisions, a winding within WINDING_SLACK of an integer or
-power sums that seed Newton, and come back as mpc.  Newton polishing,
-the Kantorovich certificates, root bisection and every reported number
-stay mpmath.
+power sums that seed Newton, and come back as mpc.  The polynomial of
+those power sums is solved in complex floats as well, by a companion QR
+iteration whose roots are only Newton's seeds.  Newton polishing, the
+Kantorovich certificates, root bisection and every reported number stay
+mpmath.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -114,6 +117,10 @@ AXIS_MAX_POINTS = 16385
 _AXIS_CUT = 1000
 #: Newton steps a certified offender may take from its Taylor start
 _NEWTON_STEPS = 30
+#: QR sweeps allowed per root of a power-sum polynomial, and the stall
+#: after which a sweep takes an exceptional shift
+_QR_SWEEPS = 30
+_QR_EXCEPTIONAL = 10
 _LN2 = math.log(2)
 
 
@@ -557,10 +564,14 @@ def count_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> int:
 def _polish(fn, z0, multiplicity, tol, rect: Rectangle):
     # Newton about a double zero, or a pair closer than the precision
     # resolves, ends in a cycle of small steps at the noise floor: once a
-    # step below floor is no smaller than the one before, the point it
-    # would leave stands.  Any other point after the last step is no zero,
-    # and the caller subdivides or refuses.
+    # step below floor is no smaller than the one before, the visited point
+    # of least |f| stands.  (A seed already within the noise of a double
+    # zero, as the mean of its two power-sum roots often is, can take a
+    # first step of nearly floor away, and the step back is no smaller.)
+    # Any other point after the last step is no zero, and the caller
+    # subdivides or refuses.
     z, floor, last = mpc(z0), mpmath.sqrt(tol), mpf("inf")
+    best = z, last
     for _ in range(60):
         try:
             v, d = fn.value_and_derivative(z)
@@ -574,10 +585,12 @@ def _polish(fn, z0, multiplicity, tol, rect: Rectangle):
             return z, mpf(0)
         if d == 0:
             return None
+        if abs(v) < best[1]:
+            best = z, abs(v)
         step = multiplicity * v / d
         size = abs(step)
         if last <= size < floor:
-            return z, abs(v)
+            return best
         z = z - step
         if not rect.grown(mpf(3)).contains(z):
             return None
@@ -600,21 +613,71 @@ def _snap_axis(fn, z, tol):
 
 def _polynomial_roots(coeffs):
     """Roots of the monic polynomial with coefficients coeffs, highest
-    first, as the eigenvalues of its companion matrix: the QR iteration,
-    unlike an iteration on the polynomial, does not stall at a double root.
-    None when it does not converge."""
+    first, as complex floats: the eigenvalues of its companion matrix by the
+    shifted QR iteration, which, unlike an iteration on the polynomial, does
+    not stall at a double root.  None when n _QR_SWEEPS sweeps do not find
+    all n roots, or a coefficient leaves the float range.
+
+    Float is enough: the coefficients come from power sums integrated in
+    float64 and held only to _moment_tol, and the roots only seed the mpmath
+    Newton polish of _power_sum_zeros, which decides every located zero.
+
+    The companion matrix is upper Hessenberg.  Each sweep of the active
+    block is one explicit-shift QR step by Givens rotations, with the
+    Wilkinson shift (the eigenvalue of the trailing 2x2 block nearer its
+    last entry) and every _QR_EXCEPTIONAL-th sweep without a deflation an
+    exceptional shift; a subdiagonal entry at most 2^-52 of its two
+    diagonal neighbours splits the matrix there.
+    """
     n = len(coeffs) - 1
-    if n == 1:
-        return [-coeffs[1]]  # mpmath.eig of a 1x1 matrix adds its vectors
-    companion = mpmath.matrix(n, n)
-    for j in range(n):
-        companion[0, j] = -coeffs[j + 1]
-    for i in range(1, n):
-        companion[i, i - 1] = 1
-    try:
-        return mpmath.eig(companion, left=False, right=False)
-    except RuntimeError:  # no QR convergence
+    h = [[0j] * n for _ in range(n)]
+    h[0] = [-complex(c) for c in coeffs[1:]]
+    if not all(map(cmath.isfinite, h[0])):
         return None
+    for i in range(1, n):
+        h[i][i - 1] = 1 + 0j
+    roots, hi, sweeps, stalled = [], n - 1, 0, 0
+    while True:
+        lo = hi
+        while lo > 0 and abs(h[lo][lo - 1]) > 2.0**-52 * (abs(h[lo - 1][lo - 1]) + abs(h[lo][lo])):
+            lo -= 1
+        if lo == hi:
+            roots.append(h[hi][hi])
+            hi, stalled = hi - 1, 0
+            if hi < 0:
+                return roots
+            continue
+        if sweeps == _QR_SWEEPS * n:
+            return None
+        sweeps, stalled = sweeps + 1, stalled + 1
+        if stalled % _QR_EXCEPTIONAL == 0:
+            mu = h[hi][hi] + 0.75 * abs(h[hi][hi - 1]) * 1j
+        else:
+            a, b, c, d = h[hi - 1][hi - 1], h[hi - 1][hi], h[hi][hi - 1], h[hi][hi]
+            p = (a - d) / 2
+            s = cmath.sqrt(p * p + b * c)
+            den = max(p + s, p - s, key=abs)
+            mu = d - b * c / den if den else d
+        for k in range(lo, hi + 1):
+            h[k][k] -= mu
+        turns = []
+        for k in range(lo, hi):
+            x, y = h[k][k], h[k + 1][k]
+            r = math.hypot(abs(x), abs(y))
+            cs, sn = (x / r, y / r) if r else (1 + 0j, 0j)
+            turns.append((cs, sn))
+            h[k][k], h[k + 1][k] = complex(r), 0j
+            for j in range(k + 1, hi + 1):
+                u, v = h[k][j], h[k + 1][j]
+                h[k][j] = cs.conjugate() * u + sn.conjugate() * v
+                h[k + 1][j] = cs * v - sn * u
+        for k, (cs, sn) in enumerate(turns, lo):
+            for i in range(lo, k + 2):
+                u, v = h[i][k], h[i][k + 1]
+                h[i][k] = u * cs + v * sn
+                h[i][k + 1] = v * cs.conjugate() - u * sn.conjugate()
+        for k in range(lo, hi + 1):
+            h[k][k] += mu
 
 
 def _power_sum_zeros(fn, rect: Rectangle, sums, n, loc_tol):
@@ -1221,14 +1284,23 @@ def _kantorovich(fn, z, box: Rectangle, tol, along_axis):
 
 def _check_quadruple_symmetry(fn, offenders):
     """Nonreal zeros of an even real-on-axis transform come in quadruples
-    {z, -z, conj z, -conj z}; spot-check the mirrors by direct evaluation."""
+    {z, -z, conj z, -conj z}; spot-check the mirrors by direct evaluation.
+    Each point is evaluated once: the two members of a located conjugate
+    pair share their quadruple and its probes."""
     if not fn.real_on_axis():
         return
+    sizes = {}
+
+    def size(z):
+        if z not in sizes:
+            sizes[z] = abs(fn(z))
+        return sizes[z]
+
     for loc in offenders:
-        here = abs(fn(loc))
+        here = size(loc)
         for mirror in (-loc, mpmath.conj(loc), -mpmath.conj(loc)):
-            there = abs(fn(mirror))
-            probe = abs(fn(mirror + mpf("0.1")))
+            there = size(mirror)
+            probe = size(mirror + mpf("0.1"))
             if there > max(mpf(100) * here, mpf("1e-3") * probe):
                 raise WindingError(
                     "offender %s lacks its mirror %s (|f| %s vs %s nearby)"

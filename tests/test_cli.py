@@ -457,6 +457,27 @@ class TestTableAndFlowCommands:
         code, _ = run_cli("flow", "--init", str(init), "--t-end", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, init_spec, extra",
+        [
+            ("--step-control", [0.0, 1.0], ["--t-end", "1", "--step-control", "0"]),
+            ("--step-control", [0.0, 1.0], ["--t-end", "1", "--step-control=-1e-8"]),
+            ("--t-end", [0.0, 1.0], ["--t-end", "0"]),
+            ("--t-end", [0.0, 1.0], ["--t-end", "-1"]),
+            ("--t-end", {"t": 2, "positions": [0.0, 1.0]}, ["--t-end", "1.5"]),
+        ],
+    )
+    def test_flow_out_of_range_flags_exit_two(self, flag, init_spec, extra, tmp_path, capsys):
+        # refused as the flags are read, naming the flag, like --checkpoints 0;
+        # not left to the integrator's DomainError (exit 1)
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(init_spec))
+        code, out = run_cli("flow", "--init", str(init), *extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: %s" % flag)
+        assert "Traceback" not in err and records(out, "flow_state") == []
+
     def test_heat_residual_record(self, gaussian_file):
         code, out = run_cli(
             "heat-residual", "--measure", gaussian_file, "--lambda", "0.2",

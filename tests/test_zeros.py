@@ -470,13 +470,16 @@ class TestVerifyAllReal:
             assert v.all_real is True and v.offender_radius is None
         assert hunts == []
 
-    @pytest.mark.parametrize("re_max, im_max, count", [(8, 2, 4), (12, 1, 8)])
+    @pytest.mark.parametrize(
+        "re_max, im_max, count", [(8, 2, 4), (12, 1, 8), (4, 1, 4), (6, 2, 4), (10, 2, 8)]
+    )
     def test_double_zeros_at_the_threshold_are_real(self, monkeypatch, re_max, im_max, count):
         # at exactly log 2 the zeros of 2/3 + (2/3) cos z, with the weights
         # at working precision, are double zeros at the odd multiples of pi:
         # no sign change certifies them, the scan settles short of the
         # count, and one location of the window finds them on the axis,
-        # with location on or off
+        # with location on or off.  The polish of each double zero starts
+        # within the noise of it, at the mean of its two power-sum roots
         located, locate = [], zeros._locate_counted
 
         def recorded(fn, rect, n, ctx):
@@ -498,6 +501,19 @@ class TestVerifyAllReal:
             v = verify_all_real(measure, lam, window, ctx, locate_offenders=locate_offenders)
             assert v.all_real is True and v.worst_offender is None and v.margin == im_max
         assert located == [(window, count)] * 2
+
+    def test_the_smoothed_threshold_is_real(self):
+        # (3/5, 2/5) smoothed with b0 = 10 at its closed-form threshold
+        # b0 - b0^2/(b0 + log 3/2) has real double zeros only; a polish
+        # that left one of them ~1e-6 off the axis read "not all real"
+        ctx = ctx_light()
+        with ctx.workdps():
+            b0 = mpf(10)
+            base = symmetric_atoms([(mpf(0), mpf(3) / 5), (mpf(1), mpf(2) / 5)])
+            measure = convolve_gaussian(base, b0, ctx)
+            lam = b0 - b0 * b0 / (b0 + mpmath.log(mpf(3) / 2))
+        v = verify_all_real(measure, lam, Rectangle.make(-8, 8, -2, 2), ctx)
+        assert v.all_real is True and v.worst_offender is None
 
     def test_a_certificate_disk_outside_the_window_falls_through(self, monkeypatch):
         # an error estimate of 5e-3 on every value widens the certified disk
@@ -866,6 +882,56 @@ def test_property_power_sums_locate_exact_zeros(points, double):
         assert len(hits) == 1 and hits[0].multiplicity == m
 
 
+def _lattice_polynomial(points, double):
+    # roots k/4 and their coefficients, highest first: every product of
+    # quarters up to degree 8 is exact in binary
+    roots = [complex(x, y) / 4 for x, y in points]
+    coeffs = [1 + 0j]
+    for r in roots + ([roots[double]] if double is not None else []):
+        coeffs = [a - r * b for a, b in zip(coeffs + [0j], [0j] + coeffs)]
+    return roots, coeffs
+
+
+def _root_condition(coeffs, r, m):
+    """sum |a_k| |r|^k / |p^(m)(r) / m!|: a relative change u in every
+    coefficient moves a root of multiplicity m by about (u kappa)^(1/m)."""
+    n = len(coeffs) - 1
+    size = sum(abs(a) * abs(r) ** (n - i) for i, a in enumerate(coeffs))
+    taylor = sum(
+        a * math.comb(n - i, m) * r ** (n - i - m) for i, a in enumerate(coeffs[: n - m + 1])
+    )
+    return size / abs(taylor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(LATTICE, min_size=1, max_size=8, unique=True),
+    double=st.one_of(st.none(), st.integers(0, 7)),
+)
+def test_property_float_qr_returns_every_root(points, double):
+    """The companion QR in complex floats returns the n roots of a monic
+    polynomial of degree 1-8 with roots on the quarter lattice of
+    [-1, 1]^2, at most one of them double: each simple root within 1e-12
+    and the double root (both its returned roots) within 1e-6.  Where the
+    root's own conditioning puts it past float64's reach, as for a cluster
+    of lattice roots in a corner (3e-10 off for a simple root there),
+    the bound is the one a backward-stable method keeps, 16 u kappa for a
+    simple root and 16 sqrt(u kappa) for the double one."""
+    if double is not None and (double >= len(points) or len(points) == 8):
+        double = None
+    roots, coeffs = _lattice_polynomial(points, double)
+    got = zeros._polynomial_roots([mpc(c) for c in coeffs])
+    assert got is not None and len(got) == len(coeffs) - 1
+    u = 2.0**-53
+    for i, r in enumerate(roots):
+        if i == double:
+            bound = max(1e-6, 16 * math.sqrt(u * _root_condition(coeffs, r, 2)))
+            assert sorted(abs(g - r) for g in got)[1] <= bound
+        else:
+            bound = max(1e-12, 16 * u * _root_condition(coeffs, r, 1))
+            assert min(abs(g - r) for g in got) <= bound
+
+
 def test_a_near_pair_stays_two_simple_zeros(monkeypatch):
     # zeros 1e-6 apart are far more than 1e3 loc_tol = 1e-12 apart: two
     # simple zeros, not a double one, and not flagged as a cluster
@@ -1202,18 +1268,19 @@ def test_evaluation_counts_of_two_offender_verdicts(monkeypatch):
     # or the routes' order shows here.  Each verdict takes the half or
     # quarter path, the axis scan, the certificates and the location of its
     # nonreal zeros: the quadruple +-pi +- 0.64i of the two-atom transform,
-    # and Case 8's pair at pi +- 0.99i
+    # and Case 8's pair at pi +- 0.99i.  The mirror check evaluates each of
+    # its points once: 8 for the quadruple and 8 for the pair
     ctx = ctx_light()
     with ctx.workdps():
         case8 = named_density("Case8", ctx)
     counts = _count_evaluations(monkeypatch)
     v = verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-4, 4, -1, 1), ctx)
     assert v.all_real is False
-    assert counts == {"twin": 1289, "mpmath": 46}
+    assert counts == {"twin": 1289, "mpmath": 26}
     counts.update(twin=0, mpmath=0)
     v = verify_all_real(case8, mpf("-0.25"), Rectangle.make("1.5", "4.8", -2, 2), ctx)
     assert v.all_real is False and abs(v.worst_offender.real - mp.pi) < mpf("1e-8")
-    assert counts == {"twin": 1217, "mpmath": 26}
+    assert counts == {"twin": 1217, "mpmath": 20}
 
 
 # ---------------------------------------------------------------------------
