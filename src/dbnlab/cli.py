@@ -8,12 +8,17 @@ close-pair sweeps and the casebook have one run path: one picklable job
 per point, k or case, run by _pool_map inline for one worker and across
 processes for more.  Each job rebuilds its own precision state, since the
 underlying bignum library keeps precision in thread-shared state.
+
+The flow, leeyang and casebook modules (numpy, for flow) are imported by
+the commands that use them: an interpreter compiles each module it loads
+when bytecode is not written, and the other commands need none of them.
 """
 
 import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -21,7 +26,6 @@ from datetime import datetime, timezone
 import mpmath
 from mpmath import mpc, mpf
 
-from .casebook import CASE_IDS, run_case
 from .estimator import (
     bisect_lambda,
     ingest_zero_table,
@@ -29,7 +33,6 @@ from .estimator import (
     monotonicity_warnings,
     scan_lambda,
 )
-from .leeyang import PLUS_MINUS_ONE, SiteMeasure, SpinSystem, verify_leeyang
 from .measures import EvenMeasure, eval_H, make_measure, transform_function
 from .numerics import eval_phi, eval_theta, eval_xi_reference
 from .precision import (
@@ -245,7 +248,7 @@ def parse_measure_spec(spec, ctx: PrecisionContext) -> EvenMeasure:
     return _built_at("$", make_measure, kind, params, atoms, ctx)
 
 
-def parse_system_spec(spec) -> SpinSystem:
+def parse_system_spec(spec) -> "SpinSystem":
     """Spin system from its JSON form.
 
     Required "couplings" (square symmetric matrix, zero diagonal);
@@ -254,6 +257,8 @@ def parse_system_spec(spec) -> SpinSystem:
     "field_weights", "search_mode".  A value the layers below refuse, a
     site parameter included, is a schema error naming its JSON path.
     """
+    from .leeyang import PLUS_MINUS_ONE, SiteMeasure, SpinSystem
+
     top = _expect_object(spec, "$")
     _reject_unknown(
         top, ("couplings", "beta", "site", "field_weights", "search_mode"), "$"
@@ -371,6 +376,8 @@ def _lehmer_job(args):
 
 
 def _case_job(args):
+    from .casebook import run_case
+
     case_id, digits, tol_text = args
     cfg = RunConfig(digits=digits, target_tol=tol_text)
     return run_case(case_id, cfg.context()).as_dict()
@@ -596,6 +603,8 @@ def _cmd_heat_residual(args, cfg, emit):
 
 
 def _cmd_leeyang(args, cfg, emit):
+    from .leeyang import verify_leeyang
+
     ctx = cfg.context()
     system = parse_system_spec(_load_json(args.system))
     verdict = verify_leeyang(system, ctx)
@@ -623,6 +632,8 @@ def _cmd_leeyang(args, cfg, emit):
 
 
 def _cmd_casebook(args, cfg, emit):
+    from .casebook import CASE_IDS
+
     try:
         ids = CASE_IDS if args.case == "all" else (int(args.case),)
     except ValueError:
@@ -665,6 +676,18 @@ def _cmd_casebook(args, cfg, emit):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a separate argument as a value when it looks like a
+    negative number, but before Python 3.13 only -1 and -0.5 look like one:
+    "--lambda -1e-3" stopped with "expected one argument".  No dbnlab option
+    starts with a digit, so an argument that starts with "-" and a digit, or
+    "-." and a digit, is a value here (Python 3.13's own rule)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=25)
@@ -672,7 +695,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=_FORMATS, default="json-lines")
     common.add_argument("--workers", type=int, default=1)
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="dbnlab",
         description=(
             "Numerical laboratory for Gaussian-multiplied Fourier transforms "

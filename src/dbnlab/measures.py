@@ -358,9 +358,10 @@ def _require_evaluable(measure: EvenMeasure, lam):
 # ---------------------------------------------------------------------------
 
 
-# Plans of one measure and lam share the nodes of one T (a geometric grid):
-# phi_verdict's 7 plans make 231 lookups of 33 nodes, a Phi value costs 0.46 ms
-# at 30 digits, and its wall_s rose ~15% without this cache (2-core host).
+# Plans of one measure share the nodes of one T (a geometric grid), whatever
+# their lam: phi_verdict's 2 plans at seed 1 (3 at seed 3) make 66 (99) lookups
+# of 33 nodes, and a Phi value costs 0.26-0.33 ms at 30 digits, so the hits
+# save ~10 ms (~20 ms) of a ~0.13 s job (2-core host).
 @lru_cache(maxsize=400_000)
 def _density_value_cached(measure, t, dps):
     spec, p = _kind_of(measure), _params(measure)
@@ -1099,27 +1100,50 @@ def _over_cap(T):
     )
 
 
+def _cached_plan(key):
+    """The cached plan of the smallest box that contains key's box, its own
+    box included, among those of the same (measure, lam, dps, tol); None
+    when no cached plan covers the box."""
+    measure, lam, X, Y, dps, tol = key
+    boxes = {
+        (X2, Y2): plan for (m, l, X2, Y2, d, t), plan in _PLANS.items()
+        if X2 >= X and Y2 >= Y and (m, l, d, t) == (measure, lam, dps, tol)
+    }
+    return boxes[min(boxes)] if boxes else None
+
+
 def _planned(measure: EvenMeasure, lam, ctx: PrecisionContext):
-    """evaluate(z, parts) through the plan of the box about z; a point whose
+    """evaluate(z, parts) through a plan whose box holds z; a point whose
     estimate exceeds tol refines that plan, and past the node cap is refused
     with QuadratureError.  The box rounds |Re z| up to a multiple of 8 and
-    |Im z| up to an integer, so a verdict builds only a few plans.  The
-    twin takes the plan evaluate built for the box, and leaves a box
-    without one, and a point over tol, to evaluate."""
+    |Im z| up to an integer.  A point takes the plan of its own box or, when
+    that box has none, any cached plan whose box contains its own: a plan's
+    T, step and corner gap hold over its whole box, so a verdict builds only
+    a few plans.  A plan is built only for a box that no cached plan
+    covers.  Each box is resolved to its plan once per evaluator.  The twin
+    takes the plan evaluate would, and leaves a box without one, and a
+    point over tol, to evaluate."""
     dps, tol = mp.dps, ctx.target_abs_tol
     tol_f = float(tol)
+    served = {}  # (X, Y) -> the plan that serves the box
 
-    def key(x, y):
-        return (measure, lam, 8 * max(1, int(mpmath.ceil(x / 8))), int(mpmath.ceil(y)), dps, tol)
+    def plan_of(X, Y):
+        plan = served.get((X, Y))
+        if plan is None:
+            plan = _cached_plan((measure, lam, X, Y, dps, tol))
+            if plan is not None:
+                served[X, Y] = plan
+        return plan
 
     def evaluate(z, parts):
-        k = key(abs(z.real), abs(z.imag))
-        plan = _PLANS.get(k)
+        X = 8 * max(1, int(mpmath.ceil(abs(z.real) / 8)))
+        Y = int(mpmath.ceil(abs(z.imag)))
+        plan = plan_of(X, Y)
         if plan is None:
-            plan = _Plan(measure, lam, k[2], k[3], tol)
+            plan = served[X, Y] = _Plan(measure, lam, X, Y, tol)
             if len(_PLANS) >= _PLAN_CACHE:
                 del _PLANS[next(iter(_PLANS))]
-            _PLANS[k] = plan
+            _PLANS[measure, lam, X, Y, dps, tol] = plan
         while True:
             vals, err = plan.evaluate(z, parts)
             if err <= tol:
@@ -1127,7 +1151,8 @@ def _planned(measure: EvenMeasure, lam, ctx: PrecisionContext):
             plan.refine()
 
     def twin(z, deriv):
-        plan = _PLANS.get(key(abs(z.real), abs(z.imag)))
+        # z is a Python complex: math.ceil rounds its floats exactly
+        plan = plan_of(8 * max(1, math.ceil(abs(z.real) / 8)), math.ceil(abs(z.imag)))
         if plan is None:
             return None
         got = plan.twin(z, deriv)

@@ -703,7 +703,13 @@ def _power_sum_zeros(fn, rect: Rectangle, sums, n, loc_tol):
         return None
     c, rho = rect.center(), _half_diagonal(rect)
     seeds = [c + rho * w for w in roots]
-    scale = max(abs(fn(z)) for z in rect.corners()) + mpf(10) ** (-mp.dps)
+
+    def size(z):
+        # |f(z)| only scales the gate: a twin value, where there is one, serves
+        got = fn.twin(z)
+        return abs(fn(z)) if got is None else mpmath.ldexp(abs(got[0]), got[3])
+
+    scale = max(size(z) for z in rect.corners()) + mpf(10) ** (-mp.dps)
     res_gate = mpmath.sqrt(loc_tol) * scale
 
     def polished(z0, multiplicity):

@@ -360,6 +360,25 @@ class TestZeroCommands:
             assert abs(mpf(rec["lambda_estimate"]) - mpmath.log(2)) < mpf("1e-6")
         assert mpf(rec["abs_error_estimate"]) == mpf("1e-6")
 
+    @pytest.mark.parametrize(
+        "argv, kind, field",
+        [
+            (["eval", "--lambda", "-1e-3", "--z", "1"], "transform", "lambda"),
+            (["bisect", "--lo", "-1e-3", "--hi", "1", "--tol", "1e-3", "--rect", "-8,8,-2,2"],
+             "bisect", "lo"),
+        ],
+    )
+    def test_a_negative_number_in_scientific_notation_is_a_flag_value(
+        self, two_atom_file, argv, kind, field
+    ):
+        code, out = run_cli(
+            argv[0], "--measure", two_atom_file, *argv[1:],
+            "--digits", "20", "--target-tol", "1e-10",
+        )
+        assert code == 0
+        (rec,) = records(out, kind)
+        assert mpf(rec[field]) == mpf("-0.001")
+
     def test_bisect_broken_bracket_is_failure_not_usage(self, two_atom_file):
         code, _ = run_cli(
             "bisect", "--measure", two_atom_file, "--lo", "0.8", "--hi", "1",
@@ -650,11 +669,15 @@ class TestOutputContract:
 
 
 def test_importing_the_cli_leaves_numpy_out():
-    # only the flow and heat-residual jobs use numpy; every other command's
-    # interpreter starts without it
+    # only the flow and heat-residual jobs use numpy, and only the casebook
+    # and leeyang commands their modules; every other command's interpreter
+    # starts without them
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, dbnlab.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys, dbnlab.cli; "
+        "print([m for m in ('numpy', 'dbnlab.casebook', 'dbnlab.leeyang') if m in sys.modules])"
+    )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

@@ -650,7 +650,7 @@ class TestPlanRoute:
         assert calls == []
 
     @pytest.mark.parametrize("z", ["0", "1", "5", "0.3+0.2j", "41+0.5j", "164.7"])
-    def test_phi_plan_against_the_xi_oracle(self, z):
+    def test_phi_plan_against_the_xi_oracle(self, z, monkeypatch):
         # the four points of the quadrature oracle test, a far point whose
         # box needs a finer plan, and a multiple of 2 pi/h for the steps
         # T/16 and T/32: with a step too coarse for its box, the sum there
@@ -663,6 +663,12 @@ class TestPlanRoute:
             assert out.abs_error_estimate <= LIGHT.target_abs_tol
             assert abs(out.value - ref) <= out.abs_error_estimate
         if z.real > 40:
+            # the far box needs a finer plan than the box of 1, which is built
+            # first here, so that the far plan does not serve 1 as well
+            monkeypatch.setattr(measures, "_PLANS", {})
+            with LIGHT.workdps():
+                eval_H(phi, mpf(0), mpf(1), LIGHT)
+                eval_H(phi, mpf(0), z, LIGHT)
             assert len(_phi_plan(phi, z).sites) > len(_phi_plan(phi, mpf(1)).sites)
 
     def test_a_point_over_tol_refines_its_plan(self, monkeypatch):
@@ -682,6 +688,43 @@ class TestPlanRoute:
             with pytest.raises(QuadratureError):
                 eval_H(phi, mpf(0), z, LIGHT)
 
+    def test_a_point_takes_a_cached_plan_whose_box_contains_its_own(self, monkeypatch):
+        # the (16, 1) plan's step, tail and corner gap hold over its whole
+        # box, so points of the boxes (8, 0) and (8, 1) build no plan of
+        # their own, in evaluate and in the twin
+        monkeypatch.setattr(measures, "_PLANS", {})
+        ref_ctx = PrecisionContext(40, mpf("1e-30"))
+        with LIGHT.workdps():
+            phi = named_density("RiemannPhi", LIGHT)
+            eval_H(phi, mpf(0), mpc(12, "0.5"), LIGHT)
+            (plan,) = measures._PLANS.values()
+            fn = transform_function(phi, mpf(0), LIGHT)
+            for z in (mpc(3), mpc(5, "0.7"), mpc("7.5", -1)):
+                out = eval_H(phi, mpf(0), z, LIGHT)
+                assert _phi_plan(phi, z) is plan
+                ref = numerics.eval_xi_reference(z, ref_ctx)
+                assert out.abs_error_estimate <= LIGHT.target_abs_tol
+                assert abs(out.value - ref) <= out.abs_error_estimate
+                v, _, err, n = fn.twin(z)
+                assert abs(mpc(v) * 2**n - ref) <= err * 2**n + LIGHT.target_abs_tol
+        assert list(measures._PLANS.values()) == [plan]
+
+    def test_a_point_outside_every_cached_box_builds_its_own_plan(self, monkeypatch):
+        monkeypatch.setattr(measures, "_PLANS", {})
+        with LIGHT.workdps():
+            phi = named_density("RiemannPhi", LIGHT)
+            fn = transform_function(phi, mpf(0), LIGHT)
+            eval_H(phi, mpf(0), mpc(12, "0.5"), LIGHT)
+            # (24, 1) and (8, 2) each reach past the (16, 1) box
+            for z, box in ((mpc(20, "0.5"), (24, 1)), (mpc(3, "1.5"), (8, 2))):
+                assert fn.twin(z) is None  # no plan yet: the point takes mpmath
+                eval_H(phi, mpf(0), z, LIGHT)
+                key = _phi_key(phi, z)
+                assert key[2:4] == box
+                assert _phi_plan(phi, z) is measures._PLANS[key]
+                assert fn.twin(z) is not None
+        assert [k[2:4] for k in measures._PLANS] == [(16, 1), (24, 1), (8, 2)]
+
     def test_a_box_beyond_the_node_cap_is_refused(self):
         # h <= pi/X needs T X / pi nodes: far more than the cap here
         with LIGHT.workdps():
@@ -690,12 +733,17 @@ class TestPlanRoute:
                 eval_H(phi, mpf(0), mpc(30000, "0.5"), LIGHT)
 
 
-def _phi_plan(phi, z):
-    """The cached plan of Phi at lam = 0 whose box holds z, at LIGHT."""
+def _phi_key(phi, z):
+    """The plan cache key of z's box for Phi at lam = 0, at LIGHT."""
     X = 8 * max(1, int(mpmath.ceil(abs(mpf(z.real)) / 8)))
     Y = int(mpmath.ceil(abs(mpf(z.imag))))
-    key = (phi, mpf(0), X, Y, LIGHT.working_digits + 10, LIGHT.target_abs_tol)
-    return measures._PLANS[key]
+    return (phi, mpf(0), X, Y, LIGHT.working_digits + 10, LIGHT.target_abs_tol)
+
+
+def _phi_plan(phi, z):
+    """The cached plan that serves z for Phi at lam = 0, at LIGHT: its own
+    box's, else the smallest cached box that contains z's box."""
+    return measures._cached_plan(_phi_key(phi, z))
 
 
 def _assert_within_estimates(m, lam, z, ctx):
