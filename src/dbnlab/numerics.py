@@ -108,25 +108,22 @@ def _phi_raw(u: mpf, dps: int, tol_digits: int) -> mpf:
         e9 = x ** 9                      # e^{9u/2}
         e5 = x ** 5                      # e^{5u/2}
         pi = mp.pi
-        total = mpf(0)
-        n = 1
-        while True:
+
+        def term(n):
             n2 = n * n
-            term = (4 * pi * pi * n2 * n2 * e9 - 6 * pi * n2 * e5) * mpmath.exp(
-                -pi * n2 * w
-            )
-            total += term
-            # peek at the next term for the stopping rule
-            m = n + 1
-            m2 = m * m
-            nxt = (4 * pi * pi * m2 * m2 * e9 - 6 * pi * m2 * e5) * mpmath.exp(
-                -pi * m2 * w
-            )
+            return (4 * pi * pi * n2 * n2 * e9 - 6 * pi * n2 * e5) * mpmath.exp(-pi * n2 * w)
+
+        total = mpf(0)
+        n, nxt = 1, term(1)
+        while True:
+            total += nxt
+            # the next term decides the stop, and is added on the next round
+            nxt = term(n + 1)
             if n >= 3 and abs(nxt) < tol / 10:
                 break
             if n > 600:  # unreachable for sane inputs; defensive cap
                 raise RangeError("eval_phi: series failed to settle")
-            n = m
+            n += 1
         return total
 
 
@@ -140,10 +137,9 @@ def eval_theta(x, ctx: PrecisionContext = None) -> mpf:
         tol = ctx.target_abs_tol
         q = mpmath.exp(-mp.pi * x)
         total = mpf(1)
-        n = 1
+        n, nxt = 1, 2 * q
         while True:
-            term = 2 * q ** (n * n)
-            total += term
+            total += nxt
             nxt = 2 * q ** ((n + 1) * (n + 1))
             if n >= 3 and nxt < tol / 10:
                 break

@@ -9,9 +9,10 @@ a polynomial whose roots seed Newton.  A rectangle with more zeros, or
 whose roots do not polish to distinct zeros inside it, is quadrisected.
 The public surface:
 
-  count_zeros        winding count over a rectangle, integer-certified
   locate_zeros       full ZeroSet for a rectangle: the count and the roots
                      from one sweep of its contour
+  count_zeros        the count of locate_zeros, checked against the located
+                     multiplicities
   locate_real_zeros  sign-change scan plus double-zero confirmation on an
                      interval of the real axis
   verify_all_real    RealityVerdict for a measure over a symmetric window
@@ -103,7 +104,6 @@ __all__ = [
 #: accepted distance of the raw winding value from an integer
 WINDING_SLACK = mpf("0.25")
 MAX_GROW_TRIES = 5
-MAX_WINDING_DEPTH = 12
 MAX_LOCATE_DEPTH = 16
 #: a box that holds at most this many zeros is solved from the power sums of
 #: one contour pass; a larger count, or a step that does not accept, is
@@ -389,13 +389,13 @@ def _path_pass(fn, path, perim, abs_tol, moments=None):
     return totals, err_total
 
 
-def _contour_pass(fn, rect: Rectangle, abs_tol, n_moments=0):
+def _contour_pass(fn, rect: Rectangle, abs_tol):
     """One counterclockwise sweep: the winding and the power sums s_k =
-    sum w_j^k, k = 1..n_moments, of the zeros z_j in rect, with w = (z - c)/
-    rho centred at the box centre c and scaled by its half-diagonal rho, so
-    that |w| <= 1 on the contour and no power tightens the pass."""
+    sum w_j^k, k = 1..MAX_POWER_SUMS, of the zeros z_j in rect, with w =
+    (z - c)/rho centred at the box centre c and scaled by its half-diagonal
+    rho, so that |w| <= 1 on the contour and no power tightens the pass."""
     corners = rect.corners()
-    moments = (rect.center(), _half_diagonal(rect), n_moments) if n_moments else None
+    moments = (rect.center(), _half_diagonal(rect), MAX_POWER_SUMS)
     totals, err_total = _path_pass(
         fn, corners + corners[:1], 2 * (rect.width + rect.height), abs_tol, moments
     )
@@ -477,22 +477,6 @@ def _subrects(rect: Rectangle, xc, yc):
     )
 
 
-def _count_recursive(fn, rect: Rectangle, depth: int) -> int:
-    moments, _ = _contour_pass(fn, rect, WINDING_SLACK)
-    n, residual = _integer_winding(moments[0])
-    if residual <= WINDING_SLACK:
-        if n < 0:
-            raise WindingError("negative winding %d: function is not analytic" % n)
-        return n
-    if depth >= MAX_WINDING_DEPTH:
-        raise WindingError(
-            "winding %s not near an integer after %d subdivisions"
-            % (mpmath.nstr(moments[0], 8), depth)
-        )
-    xc, yc = _choose_split(fn, rect)
-    return sum(_count_recursive(fn, sub, depth + 1) for sub in _subrects(rect, xc, yc))
-
-
 def _symmetric_count(fn, rect: Rectangle):
     """Zeros of f, real on the axis, in a rect symmetric about it (f even
     when rect is centred at the origin).
@@ -540,20 +524,6 @@ def _retry_on_dip(count, rect: Rectangle, widen):
 
 def _nudge(rect: Rectangle) -> Rectangle:
     return rect.nudged(mpf("1.02"), mpf("0.005"), mpf("0.003"))
-
-
-def count_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> int:
-    """Winding number of f around rect, certified to sit near an integer.
-
-    The rectangle is grown by 2% and shifted off its centre (up to five
-    times) if a zero sits on or hugs the contour; non-integer winding triggers quadrisection with
-    zero-avoiding split lines, and the pieces are summed.
-    """
-    ctx = ctx or PrecisionContext()
-    fn = as_analytic(f)
-    with ctx.workdps(5):
-        n, _ = _retry_on_dip(lambda r: _count_recursive(fn, r, 0), rect, _nudge)
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -764,11 +734,14 @@ def _power_sum_zeros(fn, rect: Rectangle, sums, n, loc_tol):
 
 def _locate_recursive(fn, rect: Rectangle, depth: int, loc_tol, out: list) -> int:
     """Add the zeros of fn in rect to out; return rect's winding count, or
-    the sum of its quarters' counts when that misses an integer."""
-    sums, _ = _contour_pass(fn, rect, _moment_tol(rect), n_moments=MAX_POWER_SUMS)
+    the sum of its quarters' counts when that misses an integer.  A negative
+    winding is a WindingError: fn is not analytic in rect."""
+    sums, _ = _contour_pass(fn, rect, _moment_tol(rect))
     n, residual = _integer_winding(sums[0])
     if residual > WINDING_SLACK:
         n = None  # force subdivision
+    elif n < 0:
+        raise WindingError("negative winding %d: function is not analytic" % n)
     if n == 0:
         return 0
     if n is not None and 0 < n <= MAX_POWER_SUMS:
@@ -816,9 +789,23 @@ def locate_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> ZeroSet:
 
     One sweep of rect's contour gives both the winding count and the power
     sums that locate its zeros; the located multiplicities are checked
-    against that count.
+    against that count, and a WindingError refuses a disagreement or a
+    negative winding.
     """
     return _locate_counted(as_analytic(f), rect, None, ctx or PrecisionContext())
+
+
+def count_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> int:
+    """The number of zeros of f in rect, with multiplicity: the winding of
+    the sweep that locate_zeros makes of rect's contour.
+
+    The zeros are located as well, and a WindingError refuses the count
+    when their multiplicities disagree with it, or when the winding is
+    negative (f is not analytic in rect).  A zero on or hugging the contour
+    grows rect by 2% and shifts it off its centre, up to five times, and
+    the count is that of the rectangle used.
+    """
+    return locate_zeros(f, rect, ctx).count
 
 
 # ---------------------------------------------------------------------------
@@ -1016,13 +1003,13 @@ def locate_real_zeros(f, interval, ctx: PrecisionContext = None, refine_tol=None
         # contour).  The confirmation rectangle is square so its contour stays a
         # cell away from the candidate, and classification runs on the located
         # points, not on the box height.
-        axis_accept = max(mpf("1e3") * tol, mpf(10) ** (4 - mp.dps))
+        axis_cut = _AXIS_CUT * tol
         for i in _double_zero_candidates(grid):
             try:
                 zs = locate_zeros(fn, Rectangle(xs[i] - cell, xs[i] + cell, -cell, cell), ctx)
             except ContourError:
                 continue
-            found += [z for z in zs.zeros if abs(mpmath.im(z.location)) <= axis_accept]
+            found += [z for z in zs.zeros if abs(mpmath.im(z.location)) <= axis_cut]
 
         found.sort(key=lambda z: mpmath.re(z.location))
         # de-duplicate anything the scan found twice
