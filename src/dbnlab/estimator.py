@@ -23,16 +23,7 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_cmp,
-    mpf_neg,
-    mpf_pow_int,
-    mpf_rdiv_int,
-    mpf_sub,
-)
+from mpmath.libmp import from_man_exp, mpf_neg
 
 from .measures import EvenMeasure, tail_set, transform_function
 from .precision import (
@@ -376,10 +367,14 @@ def lehmer_lower_bound(
     the terms in two runs, +x_j near x_k and -x_j near x_k, which
     bisection finds; a sign outside its run fails the exact test and is
     skipped, and the exact test decides every signed ordinate in its run.
-    The terms are summed on raw libmp tuples in the order j = 1..n, +x_j
-    before -x_j, each operation rounded as its mpf operator rounds it (the
-    operator's own libmp call at the context's precision and rounding), so
-    g_k is bit for bit the plain mpf loop's.  A nonpositive bracket
+    The terms are summed in the order j = 1..n, +x_j before -x_j, as exact
+    integers on the raw (sign, man, exp, bc) tuples: each difference,
+    square, quotient and sum is formed exactly and rounded half to even at
+    the context's precision, as its mpf operator rounds it (a difference
+    takes libmp's shortcut for far-apart exponents too), not through the
+    operator's own libmp call; so g_k is bit for bit the plain mpf loop's.
+    The radius test compares the rounded |x_j - x_k| with the radius
+    exactly.  A nonpositive bracket
     1 - (5/4) gap^2 g_k, or g_k = 0 (no term within the radius), is a
     domain failure of the formula and is reported, never clamped.
     """
@@ -407,26 +402,36 @@ def lehmer_lower_bound(
                 signed.append(x)
             if i in mirrored:
                 signed.append(mpf_neg(x, prec, rnd))
-        # the libmp calls of x == xk, abs(x - xk) > radius and
-        # g += 1 / ((xk - x) ** 2) + 1 / ((xk1 - x) ** 2), skipping j = k and
-        # j = k+1; nearest rounding is symmetric, so |xk - x| is |x - xk|
-        a, b, r = xk._mpf_, xk1._mpf_, radius._mpf_
-        g = fzero
+        # x == xk, abs(x - xk) > radius and g += 1 / ((xk - x) ** 2) +
+        # 1 / ((xk1 - x) ** 2) on integers, skipping j = k and j = k+1;
+        # nearest rounding is symmetric, so |xk - x| is |x - xk|
+        a, b = xk._mpf_, xk1._mpf_
+        _, rman, rexp, rbc = radius._mpf_
+        rtop = rbc + rexp
+        shift = 2 * prec + 3
+        one = 1 << shift
+        gm = ge = 0
         for x in signed:
             if x == a or x == b:
                 continue
-            d = mpf_sub(a, x, prec, rnd)
-            if mpf_cmp(mpf_abs(d), r) > 0:
-                continue
-            e = mpf_sub(b, x, prec, rnd)
-            term = mpf_add(
-                mpf_rdiv_int(1, mpf_pow_int(d, 2, prec, rnd), prec, rnd),
-                mpf_rdiv_int(1, mpf_pow_int(e, 2, prec, rnd), prec, rnd),
-                prec,
-                rnd,
-            )
-            g = mpf_add(g, term, prec, rnd)
-        g = mp.make_mpf(g)
+            dm, de = _distance(a, x, prec)
+            if rman:  # radius inf takes every term
+                top = dm.bit_length() + de
+                if top > rtop or top == rtop and dm << max(de - rexp, 0) > rman << max(rexp - de, 0):
+                    continue
+            em, ee = _distance(b, x, prec)
+            # 1/d^2 and 1/e^2, each square and quotient rounded: a square of
+            # at most prec + 1 bits leaves 2^shift // square prec + 2 bits or
+            # more, which with a sticky bit round as the exact quotient
+            dm, de = _half_even(dm * dm, 2 * de, prec)
+            q, rem = divmod(one, dm)
+            pm, pe = _half_even(2 * q + (rem > 0), -de - shift - 1, prec)
+            em, ee = _half_even(em * em, 2 * ee, prec)
+            q, rem = divmod(one, em)
+            qm, qe = _half_even(2 * q + (rem > 0), -ee - shift - 1, prec)
+            tm, te = _sum(pm, pe, qm, qe, prec)
+            gm, ge = _sum(gm, ge, tm, te, prec) if gm else (tm, te)
+        g = mp.make_mpf(from_man_exp(gm, ge))
         if g == 0:
             raise DomainError(
                 "pair k=%d: no other ordinate lies within the truncation radius "
@@ -443,6 +448,47 @@ def lehmer_lower_bound(
         return LehmerPairRecord(
             k=k, gap=gap, g_k=g, lambda_k=lam_k, truncation_radius=radius
         )
+
+
+def _half_even(man, exp, prec):
+    """man 2^exp, man > 0, to prec bits, half to even: the rounding of
+    libmp's normalize to nearest (trailing zero bits are kept)."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    t = man >> (n - 1)  # the kept bits and the half bit
+    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, exp + n
+    return t >> 1, exp + n
+
+
+def _distance(y, x, prec):
+    """|y - x| of raw mpf y and x, rounded as mpf_sub rounds y - x: exactly,
+    or, when the exponents lie over 100 bits apart and the smaller operand
+    lies wholly prec + 4 bits below the top of the larger, with that operand
+    replaced by a unit prec + 4 bits below the larger's last bit (libmp's
+    perturbation shortcut)."""
+    ysign, ym, ye, ybc = y
+    xsign, xm, xe, xbc = x
+    unit = 1 if ysign != xsign else -1  # y - x adds magnitudes when signs differ
+    if ye - xe > 100 and ybc + ye - xbc - xe > prec + 4:
+        return _half_even((ym << prec + 4) + unit, ye - prec - 4, prec)
+    if xe - ye > 100 and xbc + xe - ybc - ye > prec + 4:
+        return _half_even((xm << prec + 4) + unit, xe - prec - 4, prec)
+    low = min(ye, xe)
+    ym, xm = ym << ye - low, xm << xe - low
+    return _half_even(ym + xm if unit > 0 else abs(ym - xm), low, prec)
+
+
+def _sum(m1, e1, m2, e2, prec):
+    """m1 2^e1 + m2 2^e2 of two positive values of at most prec + 1 bits,
+    rounded.  An addend whose last bit lies over 2 prec + 8 places below
+    the other's is less than half the other's ulp, and is not shifted in."""
+    if e1 < e2:
+        m1, e1, m2, e2 = m2, e2, m1, e1
+    if e1 - e2 > 2 * prec + 8:
+        return m1, e1
+    return _half_even((m1 << e1 - e2) + m2, e2, prec)
 
 
 def debruijn_strip_halfwidth(delta, lam, ctx: PrecisionContext = None) -> mpf:

@@ -170,11 +170,27 @@ def _borwein_coefficients(n: int) -> tuple:
     return tuple(ds)
 
 
+@lru_cache(maxsize=32)
+def _least_prime_factors(n: int) -> tuple:
+    """p[m], the least prime factor of m, for 2 <= m <= n (a sieve)."""
+    p = list(range(n + 1))
+    for q in range(2, math.isqrt(n) + 1):
+        if p[q] == q:
+            for m in range(q * q, n + 1, q):
+                if p[m] == m:
+                    p[m] = q
+    return tuple(p)
+
+
 def _zeta_eta(s: mpc, digits: int) -> mpc:
     """eta(s) = sum (-1)^{k-1} k^{-s} by the accelerated alternating series.
 
     Error decays like (3+sqrt(8))^{-n} amplified by e^{pi |Im s|/2}, so the
     term count grows linearly with the requested digits and with |Im s|.
+    Only a prime k takes a power, k^{-s} = exp(-s log k); a composite k = p m,
+    p its least prime factor, takes the product p^{-s} m^{-s} of two powers
+    already formed.  Each product adds an ulp or so, which the digits the
+    caller adds past its own precision absorb.
     """
     t = abs(mpmath.im(s))
     need = digits * math.log(10) + math.pi * float(t) / 2 + math.log(5 + 2 * float(t)) + 8
@@ -182,13 +198,16 @@ def _zeta_eta(s: mpc, digits: int) -> mpc:
     if n > 4000:
         raise RangeError("zeta height too large for the alternating series route")
     d = _borwein_coefficients(n)
-    dn = mpf(d[n])
+    least = _least_prime_factors(n)
+    power = [None, mpc(1)]  # power[k] = k^{-s}
+    for k in range(2, n + 1):
+        p = least[k]
+        power.append(mpmath.power(k, -s) if p == k else power[p] * power[k // p])
     acc = mpc(0)
-    sign = 1
     for k in range(n):
-        acc += sign * (d[k] - dn) / mpmath.power(k + 1, s)
-        sign = -sign
-    return -acc / dn
+        w = d[k] - d[n]
+        acc += (w if k % 2 == 0 else -w) * power[k + 1]
+    return -acc / d[n]
 
 
 def eval_xi_reference(z, ctx: PrecisionContext = None) -> mpc:

@@ -12,7 +12,8 @@ The public surface:
   locate_zeros       full ZeroSet for a rectangle: the count and the roots
                      from one sweep of its contour
   count_zeros        the count of locate_zeros, checked against the located
-                     multiplicities
+                     multiplicities; where location grew the window, the
+                     located zeros in the rectangle given
   locate_real_zeros  sign-change scan plus double-zero confirmation on an
                      interval of the real axis
   verify_all_real    RealityVerdict for a measure over a symmetric window
@@ -762,12 +763,17 @@ def _locate_recursive(fn, rect: Rectangle, depth: int, loc_tol, out: list) -> in
     return quarters if n is None else n
 
 
+def _location_tol(ctx: PrecisionContext):
+    """The tolerance of the locator's Newton polish."""
+    return mpf(10) ** (-min(ctx.tol_digits, 25))
+
+
 def _locate_counted(fn, rect: Rectangle, count, ctx: PrecisionContext) -> ZeroSet:
     """ZeroSet of fn in rect, given count, the certified number of its zeros
     there, or None for the count of the location's own sweep (see
     _locate_recursive); the located multiplicities must add up to count."""
     with ctx.workdps(5):
-        loc_tol = mpf(10) ** (-min(ctx.tol_digits, 25))
+        loc_tol = _location_tol(ctx)
 
         def locate(r):
             out: list = []
@@ -802,10 +808,40 @@ def count_zeros(f, rect: Rectangle, ctx: PrecisionContext = None) -> int:
     The zeros are located as well, and a WindingError refuses the count
     when their multiplicities disagree with it, or when the winding is
     negative (f is not analytic in rect).  A zero on or hugging the contour
-    grows rect by 2% and shifts it off its centre, up to five times, and
-    the count is that of the rectangle used.
+    makes the locator grow rect by 2% and shift it off its centre; the count
+    is then that of the located zeros in rect itself.  A located zero on an
+    edge, to a few ulps of rect's largest coordinate at the working
+    precision, lies in the closed rect.  One farther from an edge than that
+    but nearer than the locator's acceptance distance (the square root of
+    its tolerance: the Newton polish accepts a point whose step falls below
+    it) cannot be put on either side, and the count is refused with a
+    ResolutionError.
     """
-    return locate_zeros(f, rect, ctx).count
+    ctx = ctx or PrecisionContext()
+    found = locate_zeros(f, rect, ctx)
+    if found.rect == rect:
+        return found.count
+    bounds = (rect.re_min, rect.re_max, rect.im_min, rect.im_max)
+    with ctx.workdps():
+        on_edge = (max(abs(v) for v in bounds) + 1) * mpf(2) ** (4 - mp.prec)
+    with ctx.workdps(5):
+        accept = mpmath.sqrt(_location_tol(ctx))
+        count = 0
+        for z in found.zeros:
+            x, y = mpmath.re(z.location), mpmath.im(z.location)
+            # least margin to an edge: negative outside rect
+            depth = min(x - rect.re_min, rect.re_max - x, y - rect.im_min, rect.im_max - y)
+            if on_edge < abs(depth) < accept:
+                raise ResolutionError(
+                    "zero located at %s lies %s from an edge of [%s, %s]x[%s, %s], "
+                    "within the locator's acceptance distance %s: it cannot be "
+                    "counted in or out"
+                    % (mpmath.nstr(z.location, 12), mpmath.nstr(abs(depth), 3),
+                       *(mpmath.nstr(v, 12) for v in bounds), mpmath.nstr(accept, 3))
+                )
+            if depth >= -on_edge:
+                count += z.multiplicity
+    return count
 
 
 # ---------------------------------------------------------------------------

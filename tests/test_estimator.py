@@ -506,6 +506,53 @@ class TestLehmerLowerBound:
         else:
             assert got == want, (k, radius)
 
+    def test_sweep_is_bit_identical_where_libmp_rounds_by_shortcut(self):
+        # - the close pair 100, 100 + 2^-60 has a neighbour 2^-52 away, whose
+        #   term ~2^105 meets terms ~0.1 in sums that span over 100 bits,
+        #   where libmp perturbs instead of aligning; the terms ~1e-50 of the
+        #   ordinate 1e25 (radius inf) lie past any shift a sum makes
+        # - 50-digit ordinates at ctx_light: negations and differences round
+        # - in the second table a = 110 + 2^-64 + 2^-150 sits 2^-150 above a
+        #   rounding midpoint at ctx_light, and x = 2^-100 + 2^-260 lies over
+        #   100 exponent bits and over prec + 4 bits below it: libmp rounds
+        #   a - x up, as if x were a unit past a's last bit, where the exact
+        #   difference rounds down, and g_2 shows it
+        with mp.workprec(400):
+            two = mpf(2)
+            pair = [mpf(100), 100 + two**-60, 100 + two**-60 + two**-52]
+            wide = sorted(
+                [mpf(v) for v in ("97", "98.5", "100.75", "102", "1e25")]
+                + pair
+                + [
+                    mpf("14.134725141734693790457251983562470270784257115699"),
+                    mpf("21.022039638771554992628479593896902777334340524903"),
+                    mpf("25.010857580145688763213790992562821818659549672558"),
+                ]
+            )
+            midpoint = [two**-100 + two**-260, 110 + two**-64 + two**-150, mpf(111)]
+        close = wide.index(pair[0]) + 1
+        shortcut_sums = 0
+        for ctx in (ctx_light(), ctx30()):
+            for xs in (wide, midpoint):
+                for radius in ("inf", "200", "1.5"):
+                    for k in range(1, len(xs)):
+                        with ctx.workdps():
+                            want = _outcome(lambda: plain_loop_lehmer(xs, k, mpf(radius)))
+
+                        def narrowed():
+                            rec = est.lehmer_lower_bound(est.ZeroTable(tuple(xs)), k, radius, ctx)
+                            return rec.g_k, rec.lambda_k
+
+                        got = _outcome(narrowed)
+                        if isinstance(want, tuple):
+                            assert isinstance(got, tuple), (k, radius)
+                            assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (k, radius)
+                        else:
+                            assert got == want, (k, radius)
+                        if xs is wide and k == close:
+                            shortcut_sums += want[0] > mpf(2) ** 104
+        assert shortcut_sums == 6
+
     def test_nan_radius_is_refused_and_inf_takes_the_whole_table(self):
         ctx = ctx_light()
         table = est.ingest_zero_table((DATA / "xi_zeros_100.txt").read_text(), ctx=ctx)

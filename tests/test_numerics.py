@@ -14,7 +14,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from dbnlab import (
@@ -31,7 +31,7 @@ from dbnlab import (
     named_density,
 )
 from dbnlab.measures import partial_gaussian_mass
-from dbnlab.numerics import _gl_nodes, _gl_nodes_float, eval_H_density_parts
+from dbnlab.numerics import _gl_nodes, _gl_nodes_float, _zeta_eta, eval_H_density_parts
 
 CTX = PrecisionContext()
 
@@ -168,6 +168,24 @@ class TestXiReference:
     def test_far_imaginary_argument_rejected(self):
         with pytest.raises((RangeError, PrecisionLossError)):
             eval_xi_reference(mpf(5000), CTX)
+
+    @settings(max_examples=60, deadline=None)
+    @given(re=st.floats(0.5, 1.5), im=st.floats(-40, 40), dps=st.sampled_from([20, 40, 80]))
+    @example(re=0.5, im=14.134725141734693, dps=80)  # next to the first zero of zeta
+    @example(re=1.0, im=0.0, dps=20)  # the removable point, eta(1) = ln 2
+    def test_property_eta_series_matches_mpmath_zeta(self, re, im, dps):
+        # an independent route to eta: mpmath's zeta times 1 - 2^{1-s}, at
+        # 30 digits more, so that the factor's cancellation near s = 1 costs
+        # none of the dps compared.  The error is relative to max(|eta|, 1):
+        # on the critical line eta vanishes with zeta, and next to a zero a
+        # summation's rounding of some 10^-dps is no longer small beside
+        # |eta| (1.8e-15 at the first example)
+        s = mpc(re, im)
+        with mp.workdps(dps):
+            got = _zeta_eta(s, dps)
+        with mp.workdps(dps + 30):
+            want = mpmath.ln(2) if s == 1 else mpmath.zeta(s) * (1 - mpmath.power(2, 1 - s))
+            assert abs(got - want) <= mpf(10) ** (2 - dps) * max(abs(want), 1)
 
 
 GAUSS = named_density("Gaussian", CTX, b0=1)

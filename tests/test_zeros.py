@@ -118,6 +118,30 @@ class TestCountZeros:
             n = count_zeros(cosine_fn(), rect, ctx)
         assert n == 1
 
+    def test_grown_window_counts_only_the_zeros_of_the_rectangle_given(self):
+        # (w0 + w1 cos tz)^2 has double zeros at +-1.268476358; the vertical
+        # edges 3e-5 inside them make the sweep dip, and the locator grows
+        # the window over all four: the count is that of the rectangle given
+        ctx = ctx_light()
+        factor = (mpf(0.3157759123534061), mpf(0.993366923969387), mpf(1.4933614581987766))
+        fn = _cosine_product([factor, factor])
+        with ctx.workdps(5):
+            a, b = mpf("1.2684764") - mpf("3e-5"), mpf(1.274749912084583)
+            rect = Rectangle(-a, a, -b, b)
+        found = locate_zeros(fn, rect, ctx)
+        assert found.rect != rect and found.count == 4
+        assert count_zeros(fn, rect, ctx) == 0
+
+    def test_zero_within_the_acceptance_distance_of_an_edge_is_refused(self):
+        # cos z's zero at pi/2 lies 1e-12 past the right edge: far beyond the
+        # edge's rounding, but within the distance 1e-5 inside which the
+        # locator's Newton polish accepts a point
+        ctx = ctx_light()
+        with ctx.workdps():
+            rect = Rectangle(mpf(0), mp.pi / 2 - mpf("1e-12"), mpf(-1), mpf(1))
+        with pytest.raises(ResolutionError, match="acceptance distance"):
+            count_zeros(cosine_fn(), rect, ctx)
+
     def test_winding_additivity_across_a_split(self):
         ctx = ctx30()
         with ctx.workdps(0):
