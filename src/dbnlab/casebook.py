@@ -350,9 +350,7 @@ def product_rep_check(
 
         window_verified = False
         if zeros is None:
-            verdict = verify_all_real(
-                measure, 0, window, ctx, locate_offenders=False
-            )
+            verdict = verify_all_real(measure, 0, window, ctx)
             if not verdict.all_real:
                 raise DomainError(
                     "transform has a nonreal zero in the window; "
@@ -635,11 +633,7 @@ def _case_6(ctx: PrecisionContext) -> CaseReport:
         v = verify_all_real(measure, b, window, ctx)
         with ctx.workdps():
             target = mpc(0, 2 * (1 - b))
-        ok = (
-            not v.all_real
-            and v.worst_offender is not None
-            and abs(v.worst_offender - target) <= mpf(10) ** (-8)
-        )
+        ok = not v.all_real and abs(v.worst_offender - target) <= mpf(10) ** (-8)
         checks.append(
             _check(
                 "offender_at_two_alpha_i_%s" % label,
@@ -744,11 +738,7 @@ def _case_8(ctx: PrecisionContext) -> CaseReport:
 
     vneg = verify_all_real(measure, mpf("-0.25"), Rectangle.make("1.5", "4.8", -2, 2), ctx)
     off = vneg.worst_offender
-    ok_neg = (
-        not vneg.all_real
-        and off is not None
-        and abs(mpmath.im(off)) > mpf("0.3")
-    )
+    ok_neg = not vneg.all_real and abs(mpmath.im(off)) > mpf("0.3")
     checks.append(
         _check(
             "nonreal_below_boundary",
@@ -790,7 +780,7 @@ def _case_9(ctx: PrecisionContext) -> CaseReport:
     ):
         v = verify_all_real(measure, mpf("-0.5"), window, ctx)
         off = v.worst_offender
-        ok = not v.all_real and off is not None and abs(mpmath.im(off)) > 1
+        ok = not v.all_real and abs(mpmath.im(off)) > 1
         checks.append(
             _check(
                 "%s_offender_nonreal" % name,

@@ -168,27 +168,25 @@ def bisect_lambda(
     Requires verdict(lo) = false and verdict(hi) = true.  The verdict is
     monotone in the multiplier (universal factor), so the flip stays inside
     the bracket [lo, hi] that every verdict shrinks, and the estimate is its
-    midpoint once hi - lo <= tol.  Each verdict runs with
-    locate_offenders=False: no offender is hunted down by subdivision.  For
-    a positive measure a false verdict still rests on a nonreal zero
-    certified by Newton-Kantorovich (see verify_all_real), as a true one
-    rests on a lower bound on the real zeros that meets the count of all
-    zeros.
+    midpoint once hi - lo <= tol.  A false verdict carries its offender
+    (see verify_all_real): certified by Newton-Kantorovich where the axis
+    scan finds one, located otherwise.  A true verdict rests on a lower
+    bound on the real zeros that meets the count of all zeros.
 
     The next multiplier comes from the heat flow (de Bruijn 1950; Rodgers
     & Tao, arXiv 1801.05914).  A conjugate pair x +- iy near the axis has
     d(y^2)/dlambda ~ -2, and a real pair x +- delta has d(delta^2)/dlambda
-    ~ +2, so g = -y^2 at a false verdict (y from its certified offender)
-    and g = +delta^2 at a true one (see _split_height, from the last
-    offender's real part) both read about 2 (lambda - flip).  The step is
-    Illinois regula falsi on g between the bracket ends, or lambda - g/2
-    from the one end that has a height, shifted _PAST_TOL * tol past the
-    estimate, away from the last verdict, so that two good estimates from
-    either side close the bracket.  hi is checked before lo: delta needs
-    an offender, and one seen nearer the flip than the caller's hi, so the
-    first step is lo + y^2/2.  Without any height the step is the
-    midpoint, which is plain bisection.  The heights only choose the next
-    probe; every bracket end is a verdict.
+    ~ +2, so g = -y^2 at a false verdict (y from its offender) and
+    g = +delta^2 at a true one (see _split_height, from the last
+    offender's real part) both read about 2 (lambda - flip).  Every false
+    verdict has an offender, so lo always has a height.  The step is
+    Illinois regula falsi on g between the bracket ends when hi has one
+    too, and lo - g/2 otherwise, shifted _PAST_TOL * tol past the estimate,
+    away from the last verdict, so that two good estimates from either
+    side close the bracket.  hi is checked before lo: delta needs an
+    offender, and one seen nearer the flip than the caller's hi, so the
+    first step is lo + y^2/2.  The heights only choose the next probe;
+    every bracket end is a verdict.
 
     Each step is safeguarded as in ITP (Oliveira & Takahashi, ACM TOMS 47,
     2020, with their default constants): the estimate is first pulled
@@ -204,22 +202,21 @@ def bisect_lambda(
         lo, hi, tol = mpf(lo), mpf(hi), mpf(tol)
     if not lo < hi:
         raise BracketError("need lo < hi")
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
-    x0 = None  # real part of the last certified offender
+    x0 = None  # real part of the last offender
 
     def verdict(lam):
-        """The verdict at lam and its heat-flow height g, or None."""
+        """The verdict at lam and its heat-flow height g (None when a true
+        verdict has no split height)."""
         nonlocal x0
         if not tail_set(measure).contains(lam):
             raise BracketError(
                 "lambda=%s leaves the entireness range" % mpmath.nstr(lam, 10)
             )
-        v = verify_all_real(measure, lam, window, ctx, locate_offenders=False)
+        v = verify_all_real(measure, lam, window, ctx)
         if v.all_real:
             return True, None if x0 is None else _split_height(measure, lam, x0, tol, ctx)
-        if v.worst_offender is None:
-            return False, None
         x0 = mpmath.re(v.worst_offender)
         return False, -mpmath.im(v.worst_offender) ** 2
 
@@ -242,23 +239,20 @@ def bisect_lambda(
         while hi - lo > tol:
             mid = (lo + hi) / 2
             lam = _flow_estimate(lo, hi, g_lo, g_hi)
-            if lam is None:
-                lam = mid
-            else:
-                # ITP truncation: the estimate moves toward the midpoint by
-                # kappa1 (hi - lo)^2, which matters only while hi - lo is wide
-                pull = _ITP_KAPPA1 * (hi - lo) ** 2 / span
-                lam = mid if pull >= abs(mid - lam) else lam + (pull if lam < mid else -pull)
-                lam += -past if last_real else past
-                # the probe leaves a bracket no wider than this, with a
-                # little to spare for rounding, so that left probes suffice
-                width = tol * 2 ** (left - 1) * _ITP_SPARE
-                band = max(min(width - (hi - lo) / 2, (hi - lo) / 2 - past), 0)
-                lam = min(max(lam, mid - band), mid + band)
+            # ITP truncation: the estimate moves toward the midpoint by
+            # kappa1 (hi - lo)^2, which matters only while hi - lo is wide
+            pull = _ITP_KAPPA1 * (hi - lo) ** 2 / span
+            lam = mid if pull >= abs(mid - lam) else lam + (pull if lam < mid else -pull)
+            lam += -past if last_real else past
+            # the probe leaves a bracket no wider than this, with a
+            # little to spare for rounding, so that left probes suffice
+            width = tol * 2 ** (left - 1) * _ITP_SPARE
+            band = max(min(width - (hi - lo) / 2, (hi - lo) / 2 - past), 0)
+            lam = min(max(lam, mid - band), mid + band)
             left -= 1
             real, g = verdict(lam)
             if real:
-                if last_real and g_lo is not None:
+                if last_real:
                     g_lo /= 2  # Illinois: lo held for a second step
                 hi, g_hi = lam, g
             else:
@@ -271,15 +265,10 @@ def bisect_lambda(
 
 def _flow_estimate(lo, hi, g_lo, g_hi):
     """Where g ~ 2 (lambda - flip) vanishes: regula falsi between the
-    bracket ends when both have a height, lambda - g/2 from the one that
-    has, None when neither has."""
-    if g_lo is not None and g_hi is not None:
-        return lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    if g_lo is not None:
-        return lo - g_lo / 2
+    bracket ends when hi has a height, lo - g_lo/2 when it has none."""
     if g_hi is not None:
-        return hi - g_hi / 2
-    return None
+        return lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    return lo - g_lo / 2
 
 
 def _split_height(measure, lam, x0, tol, ctx):

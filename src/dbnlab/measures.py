@@ -100,17 +100,23 @@ class TailSet:
     b0: mpf = None
 
     def contains_interior(self, lam) -> bool:
-        """Whether lam sits strictly inside the tail set."""
-        if self.shape == "AllReals":
-            return True
-        return mpf(lam) < self.b0
+        """Whether lam sits strictly inside the tail set (a real number:
+        never nan or an infinity)."""
+        lam = mpf(lam)
+        if not mpmath.isfinite(lam):
+            return False
+        return self.shape == "AllReals" or lam < self.b0
 
     def contains(self, lam) -> bool:
+        """Whether lam lies in the tail set (never a non-finite lam)."""
+        lam = mpf(lam)
+        if not mpmath.isfinite(lam):
+            return False
         if self.shape == "AllReals":
             return True
         if self.shape == "OpenUpTo":
-            return mpf(lam) < self.b0
-        return mpf(lam) <= self.b0
+            return lam < self.b0
+        return lam <= self.b0
 
     def __str__(self):
         if self.shape == "AllReals":

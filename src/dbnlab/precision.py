@@ -10,8 +10,10 @@ bisection without each layer inventing its own accuracy conventions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
+import mpmath
 from mpmath import mp, mpf
 
 
@@ -41,6 +43,8 @@ class PrecisionContext:
             object.__setattr__(self, "target_abs_tol", tol)
         if not (self.target_abs_tol > 0):
             raise ValueError("target_abs_tol must be positive")
+        if not mpmath.isfinite(self.target_abs_tol):
+            raise ValueError("target_abs_tol must be finite")
         if self.working_digits < 2 + self.tol_digits:
             raise ValueError(
                 "working_digits=%d leaves no headroom over target_abs_tol=%s "
@@ -50,15 +54,23 @@ class PrecisionContext:
 
     @property
     def tol_digits(self) -> int:
-        """ceil(-log10(target_abs_tol)), the digit count the tolerance asks for."""
-        return max(0, int(math.ceil(-math.log10(float(self.target_abs_tol)))))
+        """ceil(-log10(target_abs_tol)), the digit count the tolerance asks
+        for; 0 for a tolerance of 1 or more.  A tolerance below the normal
+        float range takes its logarithm in mpmath."""
+        tol = self.target_abs_tol
+        if tol >= 1:
+            return 0
+        if tol < sys.float_info.min:
+            return int(mpmath.ceil(-mpmath.log10(tol)))
+        return int(math.ceil(-math.log10(float(tol))))
 
     def workdps(self, extra: int = 0):
         """mpmath context manager setting this context's working precision."""
         return mp.workdps(self.working_digits + extra)
 
     def spawn(self, *, digits: int | None = None, tol=None) -> "PrecisionContext":
-        """Derived context with some fields replaced (used for internal boosts)."""
+        """A copy of this context with the digits, the tolerance or both
+        replaced."""
         d = self.working_digits if digits is None else digits
         t = self.target_abs_tol if tol is None else tol
         with mp.workdps(max(d, 15)):

@@ -29,12 +29,14 @@ a -> a+ib -> ib, whose count the two symmetries make even, and twice the
 sign changes on [0, a].  The scan stops on the first grid where count and
 bound meet.  Where they do not, a Newton-Kantorovich certificate at the
 deepest |H| minimum either proves a nonreal zero, which makes the verdict
-"not all real", or proves a close real pair that the grid missed.  A scan
-that settles short with neither locates the window's zeros once; none more
-than _AXIS_CUT tol off the axis makes the verdict "all real".  A window
-the path cannot count, because its count misses an integer or the
-transform is not real on the axis, is located once as well, against the
-count of that location's own sweep, and judged by the same cut.
+"not all real" with that zero as its offender, or proves a close real pair
+that the grid missed.  A scan that settles short with neither locates the
+window's zeros once; none more than _AXIS_CUT tol off the axis makes the
+verdict "all real", and otherwise the located one closest to the axis is
+the offender.  A window the path cannot count, because its count misses
+an integer or the transform is not real on the axis, is located once as
+well, against the count of that location's own sweep, and judged by the
+same cut.
 
 Contour hygiene: a zero on or hugging the contour makes the f'/f edge
 integral non-integrable, which the adaptive quadrature reports as
@@ -228,16 +230,17 @@ class RealityVerdict:
         hugged its contour).
     all_real: whether every zero of H in window is real; a located zero
         within _AXIS_CUT tol of the axis counts as real.
-    worst_offender: when not all_real, the located nonreal zero closest to
-        the axis with location on, and with it off the certified offender
-        below, or None when no certificate held; None when all_real.
+    worst_offender: when not all_real, the nonreal zero the axis scan
+        certified, or on a located window the located nonreal zero closest
+        to the axis; of a conjugate pair, the member below the axis.  None
+        when all_real.
     margin: when all_real, the least distance from the axis to the top or
         bottom of window (the zero-free strip it certifies on either side
-        of the axis); otherwise |Im| of
-        worst_offender, or None without one.
+        of the axis); otherwise |Im| of worst_offender.
     offender_radius: r when a Newton-Kantorovich certificate proved that
         exactly one zero lies within r of worst_offender, with r below
-        |Im worst_offender| and the disk inside window; None otherwise.
+        |Im worst_offender| and the disk inside window; None when all_real
+        or when the offender was located.
     """
 
     window: Rectangle
@@ -1076,7 +1079,6 @@ def verify_all_real(
     lam,
     window: Rectangle,
     ctx: PrecisionContext = None,
-    locate_offenders: bool = True,
 ) -> RealityVerdict:
     """Certify (window-relative) that every zero of H in window is real.
 
@@ -1096,27 +1098,25 @@ def verify_all_real(
     quadratic Taylor roots at the deepest |H| minimum without a sign
     change, and Kantorovich's test on its limit (see _certify_minimum)
     either certifies a nonreal zero, which ends the verdict as "not all
-    real", or certifies a real pair, which raises the bound.  A bound above
-    the count is a WindingError.  If the refinement settles short (a
-    double zero leaves no sign change), the window's zeros are located once
-    against the count, and the verdict is "all real" when none lies more
-    than _AXIS_CUT * tol off the axis; if it reaches its point budget
-    unsettled, the verdict is refused with a ResolutionError.
-    A dip on the path grows the window about its centre, keeping its
-    symmetry.
+    real" with that offender and its radius, or certifies a real pair,
+    which raises the bound.  A bound above the count is a WindingError.
+    If the refinement settles short (a double zero leaves no sign change),
+    the window's zeros are located once against the count, and the verdict
+    is "all real" when none lies more than _AXIS_CUT * tol off the axis;
+    if it reaches its point budget unsettled, the verdict is refused with
+    a ResolutionError.  A dip on the path grows the window about its
+    centre, keeping its symmetry.
 
     A window the path cannot count (its count misses an integer, or H is
     not real-valued on the axis) is located once, against the count of the
     location's own sweep, which may nudge it off the axis, and judged by
     the same cut.
 
-    With locate_offenders, a "not all real" verdict carries the located
-    nonreal zero closest to the axis (see _worst_offender), the window being
-    located against its count if it was not already; a certified offender
-    that location does not find again is a WindingError.  Without it, a
-    verdict carries only a certified offender, with its radius.  The margin
-    is the certified strip half-width when all real, and the offender's
-    |Im| otherwise.
+    A "not all real" verdict always carries an offender, of a conjugate
+    pair the member below the axis: the certified one, or on a located
+    window the located nonreal zero closest to the axis (see
+    _worst_offender).  The margin is the certified strip half-width when
+    all real, and the offender's |Im| otherwise.
     """
     ctx = ctx or PrecisionContext()
     with ctx.workdps(5):
@@ -1124,7 +1124,7 @@ def verify_all_real(
             raise DomainError("verification window must be symmetric about the real axis")
         fn = transform_function(measure, lam, ctx)
         tol = mpf(10) ** (-min(ctx.tol_digits, 20))
-        total, offender, used = None, None, window
+        total, used = None, window
         if fn.real_on_axis():
             # a dip grows the window about its centre, keeping its symmetry
             total, used = _retry_on_dip(
@@ -1133,20 +1133,19 @@ def verify_all_real(
         if total is not None:
             found = _axis_count(fn, used, total, tol)
             if isinstance(found, _Offender):
-                offender = found
-            elif found == total:
+                z, r = found
+                z = mpmath.conj(z) if mpmath.im(z) > 0 else z
+                return RealityVerdict(
+                    window=used, all_real=False, worst_offender=z,
+                    margin=abs(mpmath.im(z)), offender_radius=r,
+                )
+            if found == total:
                 return RealityVerdict(window=used, all_real=True, margin=used.im_max)
-        if offender is not None and not locate_offenders:
-            z, r = offender
-            return RealityVerdict(
-                window=used, all_real=False, worst_offender=z,
-                margin=abs(mpmath.im(z)), offender_radius=r,
-            )
 
         # the rest is located once: a scan short of its count with no
-        # certificate either way, an offender with location on (against the
-        # certified count, which location does not take again), and a window
-        # the path cannot count (against the count of location's own sweep)
+        # certificate either way (against the certified count, which
+        # location does not take again), and a window the path cannot count
+        # (against the count of location's own sweep)
         zs = _locate_counted(fn, used, total, ctx)
         located = zs.rect
         axis_cut = _AXIS_CUT * tol
@@ -1154,16 +1153,9 @@ def verify_all_real(
             z.location for z in zs.zeros if abs(mpmath.im(z.location)) > axis_cut
         ]
         if not offenders:
-            if offender is not None:
-                raise WindingError(
-                    "offender %s certified, but location of the window isolated "
-                    "no nonreal zero" % mpmath.nstr(offender.location, 8)
-                )
             return RealityVerdict(
                 window=located, all_real=True, margin=min(located.im_max, -located.im_min)
             )
-        if not locate_offenders:
-            return RealityVerdict(window=located, all_real=False)
         _check_quadruple_symmetry(fn, offenders)
         worst = _worst_offender(offenders, tol)
         return RealityVerdict(

@@ -265,6 +265,16 @@ class TestPointCommands:
         assert str(rec["value"]).startswith("0.8933938009342468")
         assert "abs_error_estimate" in rec
 
+    def test_a_non_finite_tolerance_is_a_usage_error(self, capsys):
+        code, out = run_cli("phi", "--u", "0.3", "--target-tol", "inf")
+        assert code == 2 and "target_abs_tol must be finite" in capsys.readouterr().err
+
+    def test_a_tolerance_below_the_float_range(self):
+        code, out = run_cli("phi", "--u", "0.3", "--digits", "500", "--target-tol", "1e-400")
+        assert code == 0
+        (rec,) = records(out, "phi")
+        assert str(rec["value"]).startswith("0.36697428938460382690")
+
     def test_theta_identity_record(self):
         code, out = run_cli("theta", "--x", "2", "--digits", "25", "--target-tol", "1e-15")
         assert code == 0

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from dbnlab import estimator as est
+from dbnlab import zeros
 from dbnlab.measures import convolve_gaussian, named_density, symmetric_atoms
 from dbnlab.precision import BracketError, DomainError, PrecisionContext, SchemaError
 from dbnlab.zeros import Rectangle, RealityVerdict
@@ -88,6 +89,14 @@ class TestScanLambda:
             )
             assert [r.entire for r in out] == [True, False, False]
             assert out[1].all_real is None
+
+    def test_non_finite_multiplier_marked_not_entire(self):
+        ctx = ctx_light()
+        with ctx.workdps(0):
+            lams = [mpf("nan"), mpf("inf"), mpf("-inf")]
+            out = est.scan_lambda(two_atom_cosine(), lams, Rectangle.make(-8, 8, -2, 2), ctx)
+        assert [r.entire for r in out] == [False, False, False]
+        assert all(r.verdict is None for r in out)
 
     def test_monotonicity_violation_flagged(self, monkeypatch):
         # a true-then-false pattern cannot come from an honest verdict, so
@@ -160,6 +169,24 @@ class TestBisectLambda:
             )
             assert abs(got - closed) < mpf("1e-5")
 
+    @pytest.mark.parametrize("lo, hi", [(0, "inf"), ("-inf", 1)])
+    def test_non_finite_bracket_end_is_refused(self, lo, hi):
+        ctx = ctx_light()
+        with ctx.workdps(0):
+            with pytest.raises(BracketError, match="entireness range"):
+                est.bisect_lambda(
+                    two_atom_cosine(), mpf(lo), mpf(hi), Rectangle.make(-8, 8, -2, 2),
+                    mpf("1e-3"), ctx,
+                )
+
+    def test_nan_tolerance_is_refused(self):
+        ctx = ctx_light()
+        with ctx.workdps(0):
+            with pytest.raises(DomainError):
+                est.bisect_lambda(
+                    two_atom_cosine(), 0, 1, Rectangle.make(-8, 8, -2, 2), mpf("nan"), ctx
+                )
+
     def test_always_real_measure_invalid_bracket(self):
         ctx = ctx30()
         with ctx.workdps(0):
@@ -226,27 +253,31 @@ class TestHeatFlowSteps:
             assert abs(got - exact) <= tol
             assert len(lams) <= verdict_budget(lo, hi, tol)
 
-    def test_without_offenders_steps_are_plain_bisection(self):
-        strip = lambda v: replace(v, worst_offender=None, offender_radius=None)
+    def test_located_offenders_give_heights(self, monkeypatch):
+        # with the Kantorovich certificate off, every false verdict is
+        # located and reports the located offender below the axis; its
+        # height still steps the search, so the first probe after the two
+        # bracket ends is lo + y^2/2 pulled in by ITP, not the midpoint
+        monkeypatch.setattr(zeros, "_certify_minimum", lambda fn, grid, window, tol: 0)
+        located = []
+
+        def offender(v):
+            if not v.all_real:
+                located.append(v.offender_radius is None and v.worst_offender.imag < 0)
+            return v
+
         ctx = ctx_light()
         with ctx.workdps(0):
             lo, hi, tol = mpf(0), mpf(1), mpf("1e-4")
-            lams, patch = recording(strip)
+            lams, patch = recording(offender)
             with patch:
                 got = est.bisect_lambda(
                     two_atom_cosine(), lo, hi, Rectangle.make(-8, 8, -2, 2), tol, ctx
                 )
-            # the same verdicts, taken by halving: hi and lo, then midpoints
-            probes = [hi, lo]
-            while hi - lo > tol:
-                mid = (lo + hi) / 2
-                probes.append(mid)
-                if mid >= mpmath.log(2):
-                    hi = mid
-                else:
-                    lo = mid
-            assert lams == probes
-            assert got == (lo + hi) / 2
+            assert located and all(located)
+            assert abs(got - mpmath.log(2)) <= tol
+            assert len(lams) <= verdict_budget(lo, hi, tol)
+            assert lams[:2] == [hi, lo] and lams[2] > (lo + hi) / 2
 
     @pytest.mark.parametrize("factor", ["0.01", "30"])
     def test_wrong_offender_height_keeps_answer_and_budget(self, factor):

@@ -395,6 +395,18 @@ class TestPrecisionContext:
         with pytest.raises(ValueError):
             PrecisionContext(working_digits=10, target_abs_tol=mpf("1e-30"))
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_rejects_a_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            PrecisionContext(working_digits=20, target_abs_tol=mpf(tol))
+
+    def test_tolerance_digits_in_and_below_the_float_range(self):
+        cases = ((20, "1e-10", 10), (20, "3e-11", 11), (50, "1e-30", 30), (500, "1e-400", 400))
+        for digits, tol, want in cases:
+            with mp.workdps(digits):
+                ctx = PrecisionContext(working_digits=digits, target_abs_tol=mpf(tol))
+            assert ctx.tol_digits == want
+
     def test_spawn_overrides(self):
         ctx = CTX.spawn(digits=25, tol=mpf("1e-15"))
         assert ctx.working_digits == 25

@@ -12,7 +12,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -20,12 +20,14 @@ from dbnlab import measures, zeros
 from dbnlab.numerics import integrate_adaptive
 from dbnlab.measures import (
     convolve_gaussian,
+    eval_H,
     named_density,
     symmetric_atoms,
     transform_function,
 )
 from dbnlab.precision import (
     DomainError,
+    EntirenessError,
     PrecisionContext,
     QuadratureError,
     ResolutionError,
@@ -428,9 +430,7 @@ class TestVerifyAllReal:
         with ctx.workdps():
             atoms = symmetric_atoms([(0, mpf(3) / 5), (1, mpf(2) / 5)], ctx)
         smoothed = convolve_gaussian(atoms, 10, ctx)
-        v = verify_all_real(
-            smoothed, mpf(lam), Rectangle.make(-8, 8, -2, 2), ctx, locate_offenders=False
-        )
+        v = verify_all_real(smoothed, mpf(lam), Rectangle.make(-8, 8, -2, 2), ctx)
         assert v.all_real is True
 
     def test_certified_real_zeros_above_the_count_are_refused(self):
@@ -450,9 +450,8 @@ class TestVerifyAllReal:
         ctx = ctx_light()
         window = Rectangle.make(-7, 8, -2, 2)
         monkeypatch.setattr(zeros, "_symmetric_count", lambda fn, rect: 0)
-        for locate in (False, True):
-            with pytest.raises(WindingError, match="exceed the winding count"):
-                verify_all_real(two_atom_cosine(), mpf(1), window, ctx, locate_offenders=locate)
+        with pytest.raises(WindingError, match="exceed the winding count"):
+            verify_all_real(two_atom_cosine(), mpf(1), window, ctx)
 
     def test_unsettled_scan_short_of_the_count_is_refused(self, monkeypatch):
         # below log 2 the certified crossings stay short of the pair at
@@ -462,10 +461,7 @@ class TestVerifyAllReal:
         monkeypatch.setattr(zeros, "AXIS_MAX_POINTS", zeros.AXIS_POINTS)
         ctx = ctx_light()
         with pytest.raises(ResolutionError):
-            verify_all_real(
-                two_atom_cosine(), mpf("0.5"), Rectangle.make(-8, 8, -2, 2), ctx,
-                locate_offenders=False,
-            )
+            verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-8, 8, -2, 2), ctx)
 
     def test_a_path_count_off_an_integer_falls_back_to_the_whole_contour(self, monkeypatch):
         # with the path count refused, the whole window is located once per
@@ -485,9 +481,7 @@ class TestVerifyAllReal:
             located.clear()
             window = Rectangle.make(re_min, re_max, -2, 2)
             for lam, want in (("1", True), ("0.5", False)):
-                v = verify_all_real(
-                    two_atom_cosine(), mpf(lam), window, ctx, locate_offenders=False
-                )
+                v = verify_all_real(two_atom_cosine(), mpf(lam), window, ctx)
                 assert v.all_real is want
             assert located == [(window, None), (window, None)]
 
@@ -507,12 +501,8 @@ class TestVerifyAllReal:
             return hunt(*args)
 
         monkeypatch.setattr(zeros, "locate_zeros", recorded)
-        for locate in (False, True):
-            v = verify_all_real(
-                two_atom_cosine(), lam, Rectangle.make(-8, 8, -2, 2), ctx,
-                locate_offenders=locate,
-            )
-            assert v.all_real is True and v.offender_radius is None
+        v = verify_all_real(two_atom_cosine(), lam, Rectangle.make(-8, 8, -2, 2), ctx)
+        assert v.all_real is True and v.offender_radius is None
         assert hunts == []
 
     @pytest.mark.parametrize(
@@ -522,9 +512,9 @@ class TestVerifyAllReal:
         # at exactly log 2 the zeros of 2/3 + (2/3) cos z, with the weights
         # at working precision, are double zeros at the odd multiples of pi:
         # no sign change certifies them, the scan settles short of the
-        # count, and one location of the window finds them on the axis,
-        # with location on or off.  The polish of each double zero starts
-        # within the noise of it, at the mean of its two power-sum roots
+        # count, and one location of the window finds them on the axis.  The
+        # polish of each double zero starts within the noise of it, at the
+        # mean of its two power-sum roots
         located, locate = [], zeros._locate_counted
 
         def recorded(fn, rect, n, ctx):
@@ -542,10 +532,9 @@ class TestVerifyAllReal:
             measure = symmetric_atoms([(0, mpf(2) / 3), (1, mpf(1) / 3)], ctx)
             lam = mpmath.log(2)
         window = Rectangle.make(-re_max, re_max, -im_max, im_max)
-        for locate_offenders in (False, True):
-            v = verify_all_real(measure, lam, window, ctx, locate_offenders=locate_offenders)
-            assert v.all_real is True and v.worst_offender is None and v.margin == im_max
-        assert located == [(window, count)] * 2
+        v = verify_all_real(measure, lam, window, ctx)
+        assert v.all_real is True and v.worst_offender is None and v.margin == im_max
+        assert located == [(window, count)]
 
     def test_the_smoothed_threshold_is_real(self):
         # (3/5, 2/5) smoothed with b0 = 10 at its closed-form threshold
@@ -565,7 +554,8 @@ class TestVerifyAllReal:
         # about the offender pi + 0.6417i of 2/3 + (e^0.5/3) cos z to more
         # than the 0.018 between it and the top edge at 0.66; the scan then
         # settles short of the count with no certificate, and the location
-        # of the window finds the pair off the axis
+        # of the window finds the pair off the axis and reports its member
+        # below the axis, with no radius
         blurred = measures.TransformFunction.parts
 
         def parts(self, z, which):
@@ -578,17 +568,28 @@ class TestVerifyAllReal:
         ctx = ctx_light()
         with ctx.workdps():
             y = mpmath.acosh(2 * mpmath.exp(mpf("-0.5")))
-        tall = verify_all_real(
-            two_atom_cosine(), mpf("0.5"), Rectangle.make(-6, 6, -1, 1), ctx,
-            locate_offenders=False,
-        )
+        tall = verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-6, 6, -1, 1), ctx)
         assert tall.all_real is False and tall.offender_radius > mpf("0.66") - y
         low = verify_all_real(
-            two_atom_cosine(), mpf("0.5"), Rectangle.make(-6, 6, "-0.66", "0.66"), ctx,
-            locate_offenders=False,
+            two_atom_cosine(), mpf("0.5"), Rectangle.make(-6, 6, "-0.66", "0.66"), ctx
         )
-        assert low.all_real is False
-        assert low.offender_radius is None and low.worst_offender is None
+        assert low.all_real is False and low.offender_radius is None
+        z = low.worst_offender
+        with mp.workdps(50):
+            assert abs(abs(z.real) - mp.pi) < mpf("1e-8") and abs(z.imag + y) < mpf("1e-8")
+            assert low.margin == abs(z.imag)
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_multiplier_is_refused(self, lam):
+        # the tail set of a finite measure is all reals, which holds no
+        # infinity and no nan: the transform there is not evaluated
+        ctx = ctx_light()
+        with ctx.workdps():
+            lam = mpf(lam)
+            with pytest.raises(EntirenessError):
+                eval_H(two_atom_cosine(), lam, 0, ctx)
+        with pytest.raises(EntirenessError):
+            verify_all_real(two_atom_cosine(), lam, Rectangle.make(-8, 8, -2, 2), ctx)
 
     def test_asymmetric_window_rejected(self):
         ctx = ctx30()
@@ -751,6 +752,44 @@ def test_property_quarter_count_matches_exact_zeros(
         assert count_zeros(fn, rect, ctx) == want
 
 
+@settings(max_examples=8, deadline=None)
+@given(
+    factors=st.lists(COSINE_FACTOR, min_size=1, max_size=2),
+    half_width=st.floats(1, 4),
+    half_height=st.floats(0.2, 1.5),
+    hug=st.sampled_from(["re", "im"]),
+    hug_index=st.integers(0, 50),
+    gap=st.sampled_from(["1e-4", "-1e-4", "3e-5", "-3e-5"]),
+    centre=WINDOW_CENTRE,
+)
+def test_property_count_zeros_on_windows_that_hug_a_zero(
+    factors, half_width, half_height, hug, hug_index, gap, centre
+):
+    """count_zeros against the exact zero set of w0 + w1 cos(tz) and of
+    products of two such factors, on windows whose right or top edge lies
+    |gap| from a zero.  Every gap exceeds sqrt(loc_tol) = 1e-5, the
+    distance from an edge within which count_zeros refuses, so the count
+    must be exact."""
+    ctx = PrecisionContext(working_digits=20, target_abs_tol=mpf("1e-10"))
+    with ctx.workdps(5):
+        factors = [tuple(mpf(v) for v in f) for f in factors]
+        c, a, b = mpf(centre), mpf(half_width), mpf(half_height)
+        near = [
+            z for f in factors for z in _zeros_up_to(f, abs(c) + a + 1)
+            if z.real > c and (hug == "re" or z.imag > 0)
+        ]
+        assume(near)
+        z = near[hug_index % len(near)]
+        if hug == "re":
+            a = z.real - c + mpf(gap)
+        else:
+            b = z.imag + mpf(gap)
+        rect = Rectangle(c - a, c + a, -b, b)
+        fn = _cosine_product(factors)
+        want = _exact_count(factors, rect)
+    assert count_zeros(fn, rect, ctx) == want
+
+
 def test_full_contour_misses_a_zero_hugging_an_edge_midpoint():
     # 1 + 2 cos z has real zeros at +-2 pi/3; with the vertical edges within
     # delta of them, each zero sits at the centre of its edge's first panel,
@@ -811,7 +850,7 @@ def test_property_verdict_matches_exact_two_atom_verdict(
         window = Rectangle.make(
             centre - half_width, centre + half_width, -half_height, half_height
         )
-    v = verify_all_real(measure, lam, window, ctx, locate_offenders=False)
+    v = verify_all_real(measure, lam, window, ctx)
     with ctx.workdps():
         used = v.window
         if centre == 0:
@@ -834,9 +873,9 @@ def test_property_verdict_matches_exact_two_atom_verdict(
     shift=st.floats(0.05, 0.25),
 )
 def test_property_false_verdict_carries_a_certified_offender(w0, w1, t, shift):
-    """Below the two-atom threshold ln(w0/w1)/t^2 by shift, a verdict without
-    location is False and carries a Newton-Kantorovich offender whose disk
-    holds an exact zero pi(2k+1)/t +- i arccosh(w0/(w1 e^{lam t^2}))/t.  The
+    """Below the two-atom threshold ln(w0/w1)/t^2 by shift, a verdict is
+    False and carries a Newton-Kantorovich offender whose disk holds an
+    exact zero pi(2k+1)/t +- i arccosh(w0/(w1 e^{lam t^2}))/t.  The
     window [-2pi/t, 2pi/t] x [-2, 2] holds the zeros at k = -1 and 0."""
     ctx = PrecisionContext(working_digits=20, target_abs_tol=mpf("1e-10"))
     with ctx.workdps():
@@ -845,7 +884,7 @@ def test_property_false_verdict_carries_a_certified_offender(w0, w1, t, shift):
         measure = symmetric_atoms([(0, w0), (t, w1)], ctx)
         a = 2 * mp.pi / t
         window = Rectangle(-a, a, mpf(-2), mpf(2))
-    v = verify_all_real(measure, lam, window, ctx, locate_offenders=False)
+    v = verify_all_real(measure, lam, window, ctx)
     assert v.all_real is False and v.offender_radius is not None
     with mp.workdps(50):
         y = mpmath.acosh(w0 / (w1 * mpmath.exp(lam * t * t))) / t
@@ -1063,7 +1102,9 @@ def test_split_lines_avoid_the_axis_of_a_real_on_axis_function(monkeypatch):
 def test_the_reported_offender_does_not_depend_on_location_order(monkeypatch, re_min, re_max):
     # the conjugate pair pi +- 0.64i of the two-atom transform at 1/2, and
     # the quadruple +-pi +- 0.64i: location in either order reports the same
-    # offender, below the axis
+    # offender, below the axis.  With the Kantorovich certificate off, the
+    # scan settles short of the count and the window is located
+    monkeypatch.setattr(zeros, "_certify_minimum", lambda fn, grid, window, tol: 0)
     ctx = ctx30()
     window = Rectangle.make(re_min, re_max, -2, 2)
     forward = verify_all_real(two_atom_cosine(), mpf("0.5"), window, ctx)
@@ -1076,7 +1117,7 @@ def test_the_reported_offender_does_not_depend_on_location_order(monkeypatch, re
     monkeypatch.setattr(zeros, "_locate_counted", reversed_order)
     backward = verify_all_real(two_atom_cosine(), mpf("0.5"), window, ctx)
     assert forward.worst_offender == backward.worst_offender
-    assert forward.worst_offender.imag < 0
+    assert forward.worst_offender.imag < 0 and forward.offender_radius is None
 
 
 def test_locate_zeros_sweeps_its_top_rectangle_once(monkeypatch):
@@ -1122,37 +1163,52 @@ def _record_location(monkeypatch):
 
 
 def test_a_false_verdict_locates_against_its_own_count(monkeypatch):
-    # the quarter path has certified the 4 zeros +-pi +- 0.64i; location
-    # checks its multiplicities against that count instead of counting the
-    # whole window again with a contour sweep of its own
+    # the half path counts 4 zeros of Case 8 at -1/4 in the window, and the
+    # scan certifies 2 of them without certifying the pair at pi +- 0.99i;
+    # location checks its multiplicities against that count instead of
+    # counting the whole window again with a contour sweep of its own
+    ctx = ctx_light()
+    with ctx.workdps():
+        case8 = named_density("Case8", ctx)
     located, swept = _record_location(monkeypatch)
-    v = verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-4, 4, -1, 1), ctx_light())
-    assert v.all_real is False
-    assert [n for _, n in located] == [4]
+    window = Rectangle.make("1.5", "4.8", -2, 2)
+    v = verify_all_real(case8, mpf("-0.25"), window, ctx)
+    assert v.all_real is False and v.offender_radius is None
+    assert located == [(window, 4)]
     assert swept and all(swept)
+    assert abs(v.worst_offender.real - mp.pi) < mpf("1e-8") and v.worst_offender.imag < 0
+
+
+def test_a_certified_offender_is_not_located(monkeypatch):
+    # the scan certifies the offender pi + 0.64i of 2/3 + (e^0.5/3) cos z by
+    # Kantorovich: the verdict reports it below the axis, with its radius,
+    # and locates nothing
+    located, swept = _record_location(monkeypatch)
+    ctx = ctx_light()
+    v = verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-4, 4, -1, 1), ctx)
+    assert v.all_real is False and located == [] and swept == []
+    with mp.workdps(50):
+        y = mpmath.acosh(2 * mpmath.exp(mpf("-0.5")))
+        z, r = v.worst_offender, v.offender_radius
+        assert r is not None and r < abs(z.imag) and v.margin == abs(z.imag)
+        assert abs(abs(z.real) - mp.pi) + abs(z.imag + y) <= r
 
 
 @pytest.mark.parametrize("b", ["0", "0.5"])
-@pytest.mark.parametrize("locate_offenders", [False, True])
-def test_a_transform_not_real_on_the_axis_is_located_once(monkeypatch, b, locate_offenders):
+def test_a_transform_not_real_on_the_axis_is_located_once(monkeypatch, b):
     # Case 6 has one zero, 2(1-b)i, and no path count: its window is located
     # once against the count of its own sweep, with no winding count of the
     # window or of a strip about the axis
     located, swept = _record_location(monkeypatch)
     ctx = ctx_light()
     window = Rectangle.make(-4, 4, -3, 3)
-    v = verify_all_real(
-        named_density("Case6", ctx), mpf(b), window, ctx, locate_offenders=locate_offenders
-    )
+    v = verify_all_real(named_density("Case6", ctx), mpf(b), window, ctx)
     assert v.all_real is False and v.window == window
     assert located == [(window, None)] and swept and all(swept)
-    if locate_offenders:
-        with ctx.workdps():
-            target = mpc(0, 2 * (1 - mpf(b)))
-        assert abs(v.worst_offender - target) < mpf("1e-8")
-        assert v.margin == abs(mpmath.im(v.worst_offender))
-    else:
-        assert v.worst_offender is None and v.margin is None
+    with ctx.workdps():
+        target = mpc(0, 2 * (1 - mpf(b)))
+    assert abs(v.worst_offender - target) < mpf("1e-8")
+    assert v.margin == abs(mpmath.im(v.worst_offender)) and v.offender_radius is None
 
 
 # ---------------------------------------------------------------------------
@@ -1234,7 +1290,7 @@ def test_a_far_nonreal_pair_gets_a_certified_offender():
         w0, w1, t, lam = mpf(5) / 6, mpf(1) / 6, mpf("1.6"), mpf("0.238")
         measure = symmetric_atoms([(0, w0), (t, w1)], ctx)
         window = Rectangle.make("-3.93", "3.93", "-1.875", "1.875")
-    v = verify_all_real(measure, lam, window, ctx, locate_offenders=False)
+    v = verify_all_real(measure, lam, window, ctx)
     assert v.all_real is False and v.offender_radius is not None
     with mp.workdps(40):
         y = mpmath.acosh(w0 / (w1 * mpmath.exp(lam * t * t))) / t
@@ -1342,18 +1398,18 @@ def _count_evaluations(monkeypatch):
 def test_evaluation_counts_of_two_offender_verdicts(monkeypatch):
     # counts repeat exactly: a change to panel acceptance, the twin's reach
     # or the routes' order shows here.  Each verdict takes the half or
-    # quarter path, the axis scan, the certificates and the location of its
-    # nonreal zeros: the quadruple +-pi +- 0.64i of the two-atom transform,
-    # and Case 8's pair at pi +- 0.99i.  The mirror check evaluates each of
-    # its points once: 8 for the quadruple and 8 for the pair.  The box
-    # corners that scale the residual gate take the twin
+    # quarter path and the axis scan.  The scan certifies the offender
+    # pi + 0.64i of the two-atom transform, and the verdict ends there.
+    # Case 8's pair at pi +- 0.99i has no certificate, so its window is
+    # located; the mirror check evaluates each of its 8 points once, and
+    # the box corners that scale the residual gate take the twin
     ctx = ctx_light()
     with ctx.workdps():
         case8 = named_density("Case8", ctx)
     counts = _count_evaluations(monkeypatch)
     v = verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-4, 4, -1, 1), ctx)
     assert v.all_real is False
-    assert counts == {"twin": 1293, "mpmath": 22}
+    assert counts == {"twin": 137, "mpmath": 6}
     counts.update(twin=0, mpmath=0)
     v = verify_all_real(case8, mpf("-0.25"), Rectangle.make("1.5", "4.8", -2, 2), ctx)
     assert v.all_real is False and abs(v.worst_offender.real - mp.pi) < mpf("1e-8")
