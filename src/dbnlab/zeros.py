@@ -41,6 +41,10 @@ same cut.
 Contour hygiene: a zero on or hugging the contour makes the f'/f edge
 integral non-integrable, which the adaptive quadrature reports as
 divergence; the top-level rectangle is then grown slightly and retried.
+A zero that hugs an edge near a panel's centre can instead slip between
+the nodes of both rules, so every edge integral is checked against the
+phase of f at its nodes and ends, and an edge whose phases jump past the
+integrand's prediction is halved until they agree (see _edge_pass).
 (A sampled min/max ratio test would misfire here: zero-free transforms
 near an entireness boundary legitimately span 50+ orders of magnitude
 along one edge.)  Subdivision lines are placed where a 13-point sample of
@@ -124,7 +128,13 @@ _NEWTON_STEPS = 30
 #: after which a sweep takes an exceptional shift
 _QR_SWEEPS = 30
 _QR_EXCEPTIONAL = 10
+#: largest miss of a phase step of f between neighbouring nodes of an edge
+#: integral against its prediction, and the halvings of an edge allowed to
+#: get there (see _edge_pass)
+_MAX_PHASE_STEP = math.pi / 2
+_MAX_EDGE_SPLITS = 24
 _LN2 = math.log(2)
+_TAU = 2 * math.pi
 
 
 @dataclass(frozen=True)
@@ -322,20 +332,65 @@ def _log_abs(v, shift=0):
     return math.log(m) + (e + shift) * _LN2
 
 
-def _edge_pass(fn, za, zb, abs_tol, stats, moments=None):
-    """Integral of f'/f along the segment za -> zb; with moments = (c, rho,
-    k), also of w^j f'/f for j = 1..k, where w = (z - c)/rho.
+def _phase_at(fn, z):
+    """arg f(z), from the twin where it answers; a zero is a dip."""
+    got = fn.twin(complex(z))
+    v = fn(mpc(z)) if got is None else got[0]
+    if v == 0:
+        raise _ContourDip(mpc(z))
+    return cmath.phase(v) if got is not None else float(mpmath.arg(v))
+
+
+def _phase_track(nodes, ends):
+    """Check a segment's phases: nodes are (t, arg f, Im f'/f dz) at the
+    quadrature's nodes, t in (0, 1), and ends the phases at t = 0 and 1.
+
+    Each step between neighbouring points is predicted by the trapezoid of
+    the slopes (an end takes its neighbour's), and the step taken is the
+    prediction plus the phase difference's miss from it, reduced mod 2 pi.
+    Returns (largest |miss|, middle t of its gap, sum of the steps)."""
+    track = sorted(nodes)
+    track = [(0.0, ends[0], track[0][2])] + track + [(1.0, ends[1], track[-1][2])]
+    total, worst, at = 0.0, -1.0, 0.0
+    for (t0, p0, s0), (t1, p1, s1) in zip(track, track[1:]):
+        guess = (t1 - t0) * (s0 + s1) / 2
+        miss = (p1 - p0 - guess + math.pi) % _TAU - math.pi
+        total += guess + miss
+        if abs(miss) > worst:
+            worst, at = abs(miss), (t0 + t1) / 2
+    return worst, at, total
+
+
+def _edge_pass(fn, za, zb, ends, abs_tol, stats, moments=None, depth=0):
+    """Integral of f'/f along the segment za -> zb, whose end phases arg f
+    are ends; with moments = (c, rho, k), also of w^j f'/f for j = 1..k,
+    where w = (z - c)/rho.
 
     The integral runs in float64 (numerics.integrate_adaptive on float
     ends): z, f'/f dz and the powers of w are complex, a twin value gives
     f'/f directly, and a point without one takes mpmath at mpc(z), whose
     f'/f joins as complex.  stats tracks the least |f| as log|f|, since the
-    transform's values can leave the float range.  The results are mpc."""
+    transform's values can leave the float range.  The results are mpc.
+
+    The quadrature is checked against arg f at its own nodes and at the
+    ends.  Both Gauss-Legendre
+    rules are symmetric about a panel's centre, so a zero hugging the
+    segment near it puts its half-turn between the middle nodes of both,
+    where the two sums agree and miss it.  Between neighbouring nodes the
+    phase of f moves by about the step Im f'/f dz predicts (see
+    _phase_track); across a missed half-turn it differs from that by about
+    pi.  So the integral stands only when every step misses its prediction
+    by at most _MAX_PHASE_STEP modulo 2 pi, and the phase change the steps
+    track agrees with its imaginary part to the same margin.  Otherwise the
+    segment is halved and each half integrated to half of abs_tol, down to
+    _MAX_EDGE_SPLITS halvings; past them the zero is taken to sit on the
+    segment: a dip."""
     a = complex(za)
     dz = complex(zb - za)
     n_moments = moments[2] if moments else 0
     if n_moments:
         c, inv_rho = complex(moments[0]), 1 / float(moments[1])
+    nodes = []
 
     def integrand(t):
         z = a + t * dz
@@ -346,12 +401,15 @@ def _edge_pass(fn, za, zb, abs_tol, stats, moments=None):
             except QuadratureError as e:
                 raise _EvaluatorFailed(e) from e
             log_av = _log_abs(v)
+            phase = float(mpmath.arg(v))
         else:
             v, d, _, shift = got
             log_av = _log_abs(v, shift)
+            phase = cmath.phase(v)
         if log_av == -math.inf:
             raise _ContourDip(mpc(z))
         q = complex(d / v)
+        nodes.append((t, phase, (q * dz).imag))
         if log_av < stats["min"]:
             stats["min"] = log_av
             stats["argmin"] = z
@@ -372,7 +430,20 @@ def _edge_pass(fn, za, zb, abs_tol, stats, moments=None):
         # a non-integrable spike on the edge means a zero sits on or
         # hugs the contour: hand control to the perturb-and-retry loop
         raise _ContourDip(mpc(stats["argmin"]))
-    return [mpc(v) for v in vals], mpf(err), n
+    worst, at, turn = _phase_track(nodes, ends)
+    if worst <= _MAX_PHASE_STEP and abs(vals[0].imag - turn) <= _MAX_PHASE_STEP:
+        return [mpc(v) for v in vals], mpf(err), n
+    if depth >= _MAX_EDGE_SPLITS:
+        raise _ContourDip(mpc(a + at * dz))
+    zm = (za + zb) / 2
+    mid = _phase_at(fn, zm)
+    left = _edge_pass(fn, za, zm, (ends[0], mid), abs_tol / 2, stats, moments, depth + 1)
+    right = _edge_pass(fn, zm, zb, (mid, ends[1]), abs_tol / 2, stats, moments, depth + 1)
+    return (
+        [u + v for u, v in zip(left[0], right[0])],
+        left[1] + right[1],
+        left[2] + right[2],
+    )
 
 
 def _path_pass(fn, path, perim, abs_tol, moments=None):
@@ -384,11 +455,13 @@ def _path_pass(fn, path, perim, abs_tol, moments=None):
     stats = {"min": mpf("inf"), "argmin": None}
     totals = [mpc(0)] * (1 + (moments[2] if moments else 0))
     err_total = mpf(0)
-    for a, b in zip(path, path[1:]):
+    phases = [_phase_at(fn, z) for z in path[:-1]]
+    phases.append(phases[0] if path[-1] == path[0] else _phase_at(fn, path[-1]))
+    for i, (a, b) in enumerate(zip(path, path[1:])):
         edge_tol = abs_tol * abs(b - a) / perim
-        vals, err, _ = _edge_pass(fn, a, b, edge_tol, stats, moments)
-        for i, v in enumerate(vals):
-            totals[i] += v
+        vals, err, _ = _edge_pass(fn, a, b, phases[i : i + 2], edge_tol, stats, moments)
+        for j, v in enumerate(vals):
+            totals[j] += v
         err_total += err
     return totals, err_total
 

@@ -719,6 +719,17 @@ WINDOW_CENTRE = st.one_of(st.just(0.0), st.floats(-4, 4))
     gap=st.sampled_from(["1e-4", "-1e-4", "3e-5", "-3e-5"]),
     centre=WINDOW_CENTRE,
 )
+# a zero 1e-4 below the top edge of the quarter path, off the centre of
+# its panel, that both rules missed (6 for 8)
+@example(
+    factors=[(2.0, 1.0, 2.4889612636575227)],
+    half_width=5.759954511519144,
+    half_height=1.0,
+    hug="im",
+    hug_index=0,
+    gap="1e-4",
+    centre=0.0,
+)
 def test_property_quarter_count_matches_exact_zeros(
     factors, half_width, half_height, hug, hug_index, gap, centre
 ):
@@ -794,9 +805,9 @@ def test_full_contour_misses_a_zero_hugging_an_edge_midpoint():
     # 1 + 2 cos z has real zeros at +-2 pi/3; with the vertical edges within
     # delta of them, each zero sits at the centre of its edge's first panel,
     # where the two Gauss-Legendre rules of integrate_adaptive cancel the
-    # pole's odd part alike: a sweep held only to WINDING_SLACK misses its
-    # half-turn and reads 1.  The locator's sweep, held to _moment_tol,
-    # must count them exactly
+    # pole's odd part alike.  The path held to WINDING_SLACK, whose phase
+    # check halves such an edge, and the locator's sweep, held to
+    # _moment_tol, must both count them exactly
     ctx = PrecisionContext(working_digits=20, target_abs_tol=mpf("1e-10"))
     fn = _cosine_product([(mpf(1), mpf(2), mpf(1))])
     for delta, want in (("1e-3", 2), ("1e-4", 2), ("3e-5", 2), ("-1e-4", 0), ("-3e-5", 0)):
@@ -807,13 +818,14 @@ def test_full_contour_misses_a_zero_hugging_an_edge_midpoint():
         assert count_zeros(fn, rect, ctx) == want, delta
 
 
-@pytest.mark.xfail(strict=True, reason="known defect of the half path, not yet mended")
-def test_half_path_misses_a_zero_hugging_its_top_edge():
+def test_half_path_counts_a_zero_hugging_its_top_edge():
     # 2 + cos z has the zeros +-pi +- i arccosh 2 in [c - 5, c + 5] x [-b, b]
     # for b > arccosh 2; with the top edge within 1e-4 of them and c = 2^-7
-    # (the half path), the path integrated to WINDING_SLACK reads 3 where
-    # the count is 4, and 1 where it is 0.  Held to _moment_tol, the same
-    # path reads 4.0 and 3.9e-13
+    # (the half path), each zero sits near the centre of a panel of the path
+    # integrated to WINDING_SLACK, where both Gauss-Legendre rules miss its
+    # half-turn (3 for 4, 1 for 0); the phase of f across the gap between
+    # the middle nodes jumps by about pi, so the edge is halved until the
+    # count is exact
     ctx = PrecisionContext(working_digits=20, target_abs_tol=mpf("1e-10"))
     fn = _cosine_product([(mpf(2), mpf(1), mpf(1))])
     with ctx.workdps(5):
@@ -821,6 +833,26 @@ def test_half_path_misses_a_zero_hugging_its_top_edge():
         for gap, want in (("1e-4", 4), ("-1e-4", 0)):
             b = mpmath.acosh(2) + mpf(gap)
             assert _symmetric_count(fn, Rectangle(c - 5, c + 5, -b, b)) == want, gap
+
+
+def test_a_fast_smooth_phase_keeps_an_edge_whole(monkeypatch):
+    # e^{-z^2/0.4} turns 10 rad per unit along Im z = 2, about 1 rad between
+    # the middle nodes of a panel over [0, 8], but f'/f is linear, so each
+    # step is the one the integrand predicts and the edge is not halved
+    fn = as_analytic(
+        lambda z: mpmath.exp(-z * z / mpf("0.4")),
+        lambda z: -z / mpf("0.2") * mpmath.exp(-z * z / mpf("0.4")),
+    )
+    calls, integrate = [], zeros.numerics.integrate_adaptive
+    monkeypatch.setattr(
+        zeros.numerics, "integrate_adaptive",
+        lambda *args, **kwargs: calls.append(args[1:3]) or integrate(*args, **kwargs),
+    )
+    with mp.workdps(20):
+        (total,), _ = zeros._path_pass(fn, (mpc(8, 2), mpc(0, 2)), mpf(8), mpf("0.25"))
+    assert calls == [(0.0, 1.0)]
+    # log f(2i) - log f(8 + 2i) = ((8 + 2i)^2 - (2i)^2) / 0.4 = 160 + 80i
+    assert abs(total - mpc(160, 80)) < mpf("1e-8")
 
 
 @settings(max_examples=25, deadline=None)
@@ -1402,18 +1434,20 @@ def test_evaluation_counts_of_two_offender_verdicts(monkeypatch):
     # pi + 0.64i of the two-atom transform, and the verdict ends there.
     # Case 8's pair at pi +- 0.99i has no certificate, so its window is
     # located; the mirror check evaluates each of its 8 points once, and
-    # the box corners that scale the residual gate take the twin
+    # the box corners that scale the residual gate take the twin.  Each
+    # path's and each contour's corners take the twin once more, for the
+    # phases that check the edge integrals
     ctx = ctx_light()
     with ctx.workdps():
         case8 = named_density("Case8", ctx)
     counts = _count_evaluations(monkeypatch)
     v = verify_all_real(two_atom_cosine(), mpf("0.5"), Rectangle.make(-4, 4, -1, 1), ctx)
     assert v.all_real is False
-    assert counts == {"twin": 137, "mpmath": 6}
+    assert counts == {"twin": 140, "mpmath": 6}
     counts.update(twin=0, mpmath=0)
     v = verify_all_real(case8, mpf("-0.25"), Rectangle.make("1.5", "4.8", -2, 2), ctx)
     assert v.all_real is False and abs(v.worst_offender.real - mp.pi) < mpf("1e-8")
-    assert counts == {"twin": 1221, "mpmath": 16}
+    assert counts == {"twin": 1229, "mpmath": 16}
 
 
 # ---------------------------------------------------------------------------
